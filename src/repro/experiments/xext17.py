@@ -1,8 +1,8 @@
 """XEXT17 — chaos sweep: exact recovery under process-level faults.
 
 XEXT15 proved the fleet scales out; this experiment proves it scales
-out *on unreliable workers*.  The :class:`~repro.fleet.supervisor.
-FleetSupervisor` drives the same sharded fleet while
+out *on unreliable workers*.  :func:`repro.fleet.run_fleet`, with a
+hedging and deadline policy, drives the same sharded fleet while
 :class:`~repro.faults.process.ProcessFaultPlan` injects the four
 canonical process faults — crashes (soft exceptions and hard
 ``os._exit`` pool breaks), stragglers, poisoned reports and duplicate
@@ -11,8 +11,8 @@ deliveries — at swept rates, and every point answers three questions:
 * **did it finish?** — completion wall-clock and per-point failure
   count (zero everywhere: ``max_attempts`` exceeds the plan's
   ``max_faulty_attempts``, so progress is guaranteed by construction);
-* **what did recovery cost?** — wall-clock relative to the supervised
-  fault-free baseline (checkpoint resume keeps the crash points cheap;
+* **what did recovery cost?** — wall-clock relative to the fault-free
+  baseline under the same policy (checkpoint resume keeps the crash points cheap;
   hedging keeps the straggler points near the baseline instead of
   paying the full sleep per shard);
 * **was it exact?** — the headline contract: the recovered
@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..faults.process import ProcessFaultPlan
-from ..fleet import FleetSpec, SupervisorPolicy, run_fleet, run_fleet_supervised
+from ..fleet import FleetSpec, SupervisorPolicy, run_fleet
 
 #: Seed for every xext17 fleet (PR sequence number, like XEXT15_SEED).
 XEXT17_SEED = 17
@@ -77,7 +77,7 @@ class Xext17Result:
     num_shards: int
     workers: int
     cpu_count: int
-    #: Plain (unsupervised) serial reference wall-clock.
+    #: Fault-free serial reference wall-clock (default policy).
     serial_wall_s: float
     #: Supervised, fault-free wall-clock — the overhead denominator.
     baseline_wall_s: float
@@ -142,7 +142,7 @@ def chaos_experiment(smoke: bool = False,
         shard_deadline_s=30.0,
     )
 
-    baseline = run_fleet_supervised(
+    baseline = run_fleet(
         spec, num_shards=num_shards, backend="process", workers=workers,
         policy=policy, seed=seed,
     )
@@ -165,7 +165,7 @@ def chaos_experiment(smoke: bool = False,
 
     points: list[ChaosPoint] = []
     for name, plan in mixes:
-        report = run_fleet_supervised(
+        report = run_fleet(
             spec, num_shards=num_shards, backend="process",
             workers=workers, faults=plan, policy=policy, seed=seed,
         )

@@ -42,9 +42,9 @@ duplicate result  :class:`ProcessFaultPlan`       fleet result path
 
 The last four are *process-level* faults (see :mod:`repro.faults.
 process`): they attack the execution substrate the fleet runs on
-rather than the simulated acoustics, and the
-:class:`~repro.fleet.supervisor.FleetSupervisor` is the recovery
-layer built to absorb them.
+rather than the simulated acoustics, and the recovery loop of
+:func:`repro.fleet.run_fleet` (:mod:`repro.fleet.supervisor`) is built
+to absorb them.
 """
 
 from __future__ import annotations

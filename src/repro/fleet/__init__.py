@@ -6,10 +6,7 @@ scales the testbed out: a fleet of N acoustically isolated rooms (each
 with its own Simulator, AcousticChannel and MDNController) is cut into
 contiguous shards and executed either serially (the bit-identical
 reference) or on a process pool, with per-room metrics rolled up into
-one fleet-wide :class:`~repro.obs.MetricsRegistry` via the new merge
-support.  Dispatch rides the PR 6 infra primitives: token-bucket
-admission pacing and a circuit breaker that turns a poisoned pool into
-counted shard failures instead of a crashed run.
+one fleet-wide :class:`~repro.obs.MetricsRegistry`.
 
 Entry points::
 
@@ -17,46 +14,44 @@ Entry points::
 
     spec = FleetSpec(num_rooms=50, switches_per_room=20)   # 1000 switches
     serial = run_fleet(spec, backend="serial")
-    fanned = run_fleet(spec, num_shards=8, backend="process")
+    fanned = run_fleet(spec, num_shards=8, backend="process", workers=4)
     assert serial.identity_signature() == fanned.identity_signature()
     print(fanned.metrics.report())
 
-The xext15 experiment (``python -m repro run xext15``) sweeps shard
-count against wall-clock over exactly this API.
-
-PR 10 adds the self-healing layer on top: a
-:class:`~repro.fleet.supervisor.FleetSupervisor` that survives
-crashing, hanging, poisoning and duplicating workers (see
+:func:`run_fleet` is the only execution path: one event loop
+(:mod:`repro.fleet.supervisor`) shared by both backends, which
+survives crashing, hanging, poisoning and duplicating workers (see
 :mod:`repro.faults.process`) with hedged re-execution, room-granular
 checkpoint resume (:class:`~repro.fleet.checkpoint.CheckpointStore`),
 bounded retries and per-shard quarantine — while keeping
 ``identity_signature()`` bit-identical to the fault-free serial
-reference.  The xext17 chaos sweep (``python -m repro run xext17``)
-measures exactly that contract.
+reference.  ``run_fleet_supervised`` is an older name for the same
+function.  The xext15 experiment (``python -m repro run xext15``)
+sweeps shard count against wall-clock over this API; the xext17 chaos
+sweep (``python -m repro run xext17``) measures the recovery contract.
 """
 
 from __future__ import annotations
 
 from .checkpoint import CheckpointError, CheckpointStore
-from .dispatch import FleetDispatcher, ShardFailure
 from .room import RoomReport, run_room
 from .runner import (
     FLEET_GAUGE_POLICY,
     FleetReport,
+    ShardFailure,
+    ShardJob,
     ShardReport,
     build_fleet_report,
     merge_fleet_metrics,
-    run_fleet,
     run_shard,
 )
 from .supervisor import (
-    FleetSupervisor,
     SupervisorPolicy,
     SupervisorStats,
+    run_fleet,
     run_fleet_supervised,
     validate_shard_report,
 )
-from .worker import ShardJob, run_shard_job
 from .specs import (
     DEFAULT_FLEET_SEED,
     DEFAULT_LISTEN_INTERVAL,
@@ -76,10 +71,8 @@ __all__ = [
     "CheckpointStore",
     "FaultPlan",
     "FleetConfigError",
-    "FleetDispatcher",
     "FleetReport",
     "FleetSpec",
-    "FleetSupervisor",
     "RoomReport",
     "RoomSpec",
     "ShardFailure",
@@ -95,6 +88,5 @@ __all__ = [
     "run_fleet_supervised",
     "run_room",
     "run_shard",
-    "run_shard_job",
     "validate_shard_report",
 ]

@@ -8,7 +8,7 @@ disk as it lands, so a re-execution (retry or hedge) loads the
 finished rooms and simulates only the remainder.  Because rooms are
 deterministic, a loaded report is bit-identical to what the rerun
 would have computed — resume changes wall-clock, never results, which
-is the supervisor's exactness contract.
+is the fleet loop's exactness contract.
 
 The file format is paranoid about the one failure mode a spill has:
 a worker dying *mid-write*.  Every checkpoint is
@@ -71,13 +71,13 @@ def _unframe(blob: bytes, context: str) -> bytes:
 
 
 class CheckpointStore:
-    """Per-shard spill directory of completed room reports.
+    """Spill directory of completed room reports, one file per room.
 
-    One store serves one supervised fleet run; shards never share a
-    room id, but files are namespaced by shard anyway so a hedge and
-    the straggler it shadows write the *same* paths — last atomic
-    replace wins, and both sides wrote identical bytes-for-identical
-    rooms, so the race is harmless by construction.
+    One store serves one fleet run.  Shards never share a room id, but
+    file names carry the shard anyway, so a shard's rooms load with one
+    glob, and a hedge and the straggler it shadows write the *same*
+    paths — last atomic replace wins, and both sides wrote identical
+    bytes for identical rooms, so the race is harmless by construction.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -89,11 +89,8 @@ class CheckpointStore:
 
     # ------------------------------------------------------------------
 
-    def _shard_dir(self, shard_id: int) -> Path:
-        return self.root / f"shard{shard_id:05d}"
-
     def _room_path(self, shard_id: int, room_id: int) -> Path:
-        return self._shard_dir(shard_id) / f"room{room_id:06d}.ckpt"
+        return self.root / f"shard{shard_id:05d}-room{room_id:06d}.ckpt"
 
     # ------------------------------------------------------------------
 
@@ -101,9 +98,9 @@ class CheckpointStore:
         """Atomically spill one finished room report."""
         payload = pickle.dumps(room, protocol=pickle.HIGHEST_PROTOCOL)
         path = self._room_path(shard_id, room.room_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp{os.getpid()}")
-        tmp.write_bytes(_frame(payload))
+        tmp = f"{path}.tmp{os.getpid()}"
+        with open(tmp, "wb") as handle:
+            handle.write(_frame(payload))
         os.replace(tmp, path)
         self._m_saved.inc()
         return path
@@ -116,10 +113,7 @@ class CheckpointStore:
         a recompute, a trusted bad one is a wrong answer.
         """
         rooms: dict[int, RoomReport] = {}
-        shard_dir = self._shard_dir(shard_id)
-        if not shard_dir.is_dir():
-            return rooms
-        for path in sorted(shard_dir.glob("room*.ckpt")):
+        for path in sorted(self.root.glob(f"shard{shard_id:05d}-room*.ckpt")):
             try:
                 payload = _unframe(path.read_bytes(), path.name)
                 room = pickle.loads(payload)
@@ -137,26 +131,10 @@ class CheckpointStore:
             self._m_loaded.inc()
         return rooms
 
-    def discard_shard(self, shard_id: int) -> None:
-        """Drop every spill of one shard (e.g. after its report merged)."""
-        shard_dir = self._shard_dir(shard_id)
-        if not shard_dir.is_dir():
-            return
-        for path in shard_dir.glob("room*.ckpt"):
-            path.unlink(missing_ok=True)
-
-    def clear(self) -> None:
-        """Drop every spill in the store."""
-        for shard_dir in self.root.glob("shard*"):
-            for path in shard_dir.glob("*"):
-                path.unlink(missing_ok=True)
-            shard_dir.rmdir()
-
 
 def checkpoint_roundtrip_exact(room: RoomReport) -> bool:
     """Whether a room report survives the spill byte-exactly — the
-    invariant the exactness contract leans on (used by tests and the
-    supervisor's paranoia asserts)."""
+    invariant the exactness contract leans on."""
     clone = pickle.loads(
         _unframe(_frame(pickle.dumps(room, pickle.HIGHEST_PROTOCOL)), "probe")
     )

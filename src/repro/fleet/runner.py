@@ -1,21 +1,26 @@
-"""The fleet driver: shard execution backends and merged observability.
+"""Fleet reports, the one shard worker entry, and the merge.
 
-Two backends, same pattern as the channel's ``render_at`` /
-``render_at_reference`` pair:
+:func:`run_shard` is what every fleet execution runs per attempt — in
+this interpreter for ``backend="serial"``, in a pool worker for
+``backend="process"`` (see :func:`repro.fleet.supervisor.run_fleet`).
+It simulates the shard's rooms in order through this module's
+``run_room`` and spills each finished room but the last to the
+:class:`~repro.fleet.checkpoint.CheckpointStore`, so a re-execution
+resumes instead of recomputing.  It also honours the deterministic
+process fault model (:func:`~repro.faults.process.shard_fault_decision`)
+for its ``(shard, attempt)``: sleep if straggling, die mid-shard if
+crashing, hand back poison if poisoned.  With no fault plan it is plain
+shard execution.
 
-* ``backend="serial"`` — the in-process reference: every shard runs in
-  this interpreter, in shard order.  Slow, obviously correct.
-* ``backend="process"`` — a ``ProcessPoolExecutor`` fan-out through
-  :class:`~repro.fleet.dispatch.FleetDispatcher` (token-bucket paced,
-  circuit-breaker guarded).  Rooms are acoustically isolated, so
-  shards share no state and the pool is embarrassingly parallel.
+Every backend produces the same :class:`FleetReport`: per-room results
+merged in global room order, with ``MetricsRegistry.merge`` rolling
+every room's simulation-deterministic metrics into one fleet-wide
+registry.  ``FleetReport.identity_signature()`` is the equality
+contract the tests pin: serial and process backends — at any shard
+count, under any recovered fault schedule — must match it exactly.
 
-Both produce the same :class:`FleetReport`: per-room results merged in
-global room order, with the new ``MetricsRegistry.merge`` rolling every
-shard's simulation-deterministic metrics into one fleet-wide registry.
-``FleetReport.identity_signature()`` is the equality contract the
-tests pin: serial and process backends — at any shard count — must
-match it exactly.
+Everything a worker touches stays module-level and picklable: jobs
+cross the process boundary by value, :func:`run_shard` by reference.
 """
 
 from __future__ import annotations
@@ -23,11 +28,21 @@ from __future__ import annotations
 import os
 import time as _time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
+from ..faults.process import (
+    PoisonedShardReport,
+    ProcessFaultPlan,
+    crash_now,
+    shard_fault_decision,
+)
 from ..obs import MetricsRegistry
-from .dispatch import FleetDispatcher, ShardFailure
+from .checkpoint import CheckpointStore
 from .room import RoomReport, run_room
 from .specs import FleetSpec, ShardSpec
+
+if TYPE_CHECKING:
+    from .supervisor import SupervisorStats
 
 #: Gauges roll up with the peak policy fleet-wide (the one gauge the
 #: rooms emit is a peak; last-write across isolated rooms would be
@@ -36,21 +51,32 @@ FLEET_GAUGE_POLICY = "max"
 
 
 @dataclass
-class ShardReport:
-    """One shard's rooms, rolled up for the trip home.
+class ShardFailure:
+    """One shard that never produced a report."""
 
-    Compact by construction: per-room counts plus one merged registry —
-    never signals, channels or simulators — so a 1000-room fleet's
-    results fit in a few hundred kilobytes of pickled reports.
+    shard_id: int
+    error: str
+    attempts: int
+    #: True when the shard's breaker tripped on a repeat offender
+    #: rather than the attempt budget running out.
+    quarantined: bool = False
+
+
+@dataclass
+class ShardReport:
+    """One shard's rooms, for the trip home.
+
+    Compact by construction: per-room counts and registries — never
+    signals, channels or simulators — so a 1000-room fleet's results
+    fit in a few hundred kilobytes of pickled reports.  There is no
+    per-shard rollup: the fleet merge works from the room leaves.
     """
 
     shard_id: int
     rooms: list[RoomReport]
-    metrics: MetricsRegistry
     wall_s: float = 0.0
-    #: Rooms loaded from checkpoint spill instead of simulated (only
-    #: ever non-zero under the supervisor; execution detail, excluded
-    #: from identity).
+    #: Rooms loaded from checkpoint spill instead of simulated
+    #: (execution detail, excluded from identity).
     rooms_resumed: int = 0
     #: Which execution attempt produced this report (0 = first try).
     attempt: int = 0
@@ -73,22 +99,60 @@ class ShardReport:
         return self.delivered / emissions if emissions else 0.0
 
 
-def run_shard(spec: ShardSpec) -> ShardReport:
-    """Execute one shard's rooms sequentially (the worker entry point).
+@dataclass(frozen=True)
+class ShardJob:
+    """One attempt at one shard, fully described by values."""
 
-    Must stay a module-level function: the process backend pickles it
-    by reference into every worker.
+    shard: ShardSpec
+    #: Where finished rooms are spilled and resumed from.
+    checkpoint_dir: str
+    attempt: int = 0
+    seed: int = 0
+    faults: ProcessFaultPlan | None = None
+    #: True only when this job runs in a disposable worker process —
+    #: a hard (``os._exit``) crash fault in the calling interpreter
+    #: would kill the whole run, so the serial backend
+    #: downgrades it to the exception-shaped crash.
+    hard_crash_ok: bool = False
+
+
+def run_shard(job: ShardJob) -> ShardReport | PoisonedShardReport:
+    """Execute one (possibly fault-fated, possibly resumed) attempt.
+
+    Rooms run in shard order; resumed rooms contribute their
+    checkpointed reports in place of fresh simulation, which is the
+    same values by determinism.
     """
     wall_start = _time.perf_counter()
-    rooms = [run_room(room_spec) for room_spec in spec.rooms]
-    metrics = MetricsRegistry()
-    for room in rooms:
-        metrics.merge(room.metrics, gauge_policy=FLEET_GAUGE_POLICY)
+    decision = shard_fault_decision(
+        job.faults, job.seed, job.shard.shard_id, job.attempt
+    )
+    if decision.straggle and decision.straggler_delay_s > 0:
+        _time.sleep(decision.straggler_delay_s)
+    store = CheckpointStore(job.checkpoint_dir)
+    resumed = store.load_rooms(job.shard.shard_id)
+    last = len(job.shard.rooms) - 1
+    crash_after = decision.crash_after_rooms(last + 1)
+    rooms = []
+    for index, room_spec in enumerate(job.shard.rooms):
+        if crash_after is not None and index >= crash_after:
+            crash_now(decision.hard and job.hard_crash_ok)
+        room = resumed.get(room_spec.room_id)
+        if room is None:
+            room = run_room(room_spec)
+            # The last room goes home in the report a moment later, and
+            # no crash fires after it: its spill would insure nothing.
+            if index < last:
+                store.save_room(job.shard.shard_id, room)
+        rooms.append(room)
+    if decision.poison:
+        return PoisonedShardReport(shard_id=job.shard.shard_id)
     return ShardReport(
-        shard_id=spec.shard_id,
+        shard_id=job.shard.shard_id,
         rooms=rooms,
-        metrics=metrics,
         wall_s=_time.perf_counter() - wall_start,
+        rooms_resumed=len(resumed),
+        attempt=job.attempt,
     )
 
 
@@ -104,13 +168,11 @@ class FleetReport:
     failures: list[ShardFailure]
     #: Fleet-wide rollup of every room's registry, in room order.
     metrics: MetricsRegistry
+    #: Recovery accounting of the run.  Execution detail — excluded
+    #: from the identity signature like every wall-clock field.
+    supervisor: SupervisorStats
     wall_s: float = 0.0
     cpu_count: int = field(default_factory=lambda: os.cpu_count() or 1)
-    #: Recovery accounting when the run was supervised (see
-    #: :class:`repro.fleet.supervisor.SupervisorStats`); ``None`` for
-    #: plain ``run_fleet`` executions.  Execution detail — excluded
-    #: from the identity signature like every wall-clock field.
-    supervisor: object | None = None
 
     @property
     def rooms(self) -> list[RoomReport]:
@@ -167,8 +229,7 @@ def merge_fleet_metrics(reports: list[ShardReport]) -> MetricsRegistry:
     per-shard rollups: float summation is non-associative, so a
     hierarchical rollup would make the merged histogram mean depend
     on the shard count in the last ulp — breaking the bit-identity
-    contract between shard counts (and between the plain and
-    supervised drivers, which share this helper for the same reason).
+    contract between shard counts.
     """
     metrics = MetricsRegistry()
     ordered = sorted(
@@ -188,11 +249,10 @@ def build_fleet_report(
     shards: list[ShardReport],
     failures: list[ShardFailure],
     wall_s: float,
-    supervisor: object | None = None,
+    supervisor: SupervisorStats,
 ) -> FleetReport:
-    """Assemble the merged report both drivers return (shards and
-    failures are re-sorted by shard id so caller completion order can
-    never leak into the result)."""
+    """Assemble the merged report (shards and failures are re-sorted by
+    shard id so completion order can never leak into the result)."""
     shards = sorted(shards, key=lambda report: report.shard_id)
     failures = sorted(failures, key=lambda failure: failure.shard_id)
     return FleetReport(
@@ -205,57 +265,4 @@ def build_fleet_report(
         metrics=merge_fleet_metrics(shards),
         wall_s=wall_s,
         supervisor=supervisor,
-    )
-
-
-def run_fleet(
-    spec: FleetSpec,
-    num_shards: int = 1,
-    backend: str = "serial",
-    workers: int | None = None,
-    dispatcher: FleetDispatcher | None = None,
-    shard_timeout: float | None = None,
-) -> FleetReport:
-    """Partition the fleet into shards and execute them.
-
-    Parameters
-    ----------
-    spec:
-        The fleet topology.
-    num_shards:
-        How many contiguous room-groups to cut the fleet into.
-    backend:
-        ``"serial"`` (reference) or ``"process"`` (pool).
-    workers:
-        Pool width for the process backend; defaults to ``num_shards``.
-    dispatcher:
-        Guardrail configuration; a default (no admission pacing,
-        3-failure breaker, one retry) is built when omitted.
-    shard_timeout:
-        Optional per-shard wall-clock deadline for the process
-        backend: a worker hung past it is killed (pool rebuild) and
-        the shard retried/failed under the usual attempt accounting,
-        so one wedged worker can never block the run forever.  Default
-        ``None`` keeps the historical wait-forever behavior.
-    """
-    if backend not in ("serial", "process"):
-        raise ValueError(f"unknown fleet backend {backend!r}")
-    wall_start = _time.perf_counter()
-    shard_specs = spec.shard_specs(num_shards)
-    dispatcher = dispatcher or FleetDispatcher()
-    if backend == "serial":
-        reports, failures = dispatcher.run_serial(shard_specs, run_shard)
-    else:
-        reports, failures = dispatcher.run(
-            shard_specs, run_shard, workers=workers or num_shards,
-            shard_timeout=shard_timeout,
-        )
-    return build_fleet_report(
-        spec=spec,
-        backend=backend,
-        num_shards=num_shards,
-        workers=(workers or num_shards) if backend == "process" else 1,
-        shards=reports,
-        failures=failures,
-        wall_s=_time.perf_counter() - wall_start,
     )

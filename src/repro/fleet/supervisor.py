@@ -1,78 +1,99 @@
-"""``FleetSupervisor`` — self-healing shard execution with exact recovery.
+"""``run_fleet`` — the one fleet execution loop, self-healing and exact.
 
-The plain :class:`~repro.fleet.dispatch.FleetDispatcher` assumes a
-mostly well-behaved pool: it retries dead workers and fast-fails
-poisoned shards, but a *hung* worker stalls the run and every failure
-costs a full shard recompute.  The supervisor is the production
-answer, built from the same PR 6 primitives the acoustic links already
-ride:
+Every fleet run — serial or pooled, clean or under injected faults —
+goes through one event loop.  The backends differ only in the
+executor it submits :func:`~repro.fleet.runner.run_shard` jobs to:
 
-* **heartbeat/deadline straggler detection** — every in-flight attempt
-  carries its submission time; one past ``hedge_after_s`` gets a
-  **hedged re-execution** (a second attempt racing the slow one,
-  first-result-wins, deduped by shard id — the loser is counted
-  ``hedges_wasted``, never merged), and one past ``shard_deadline_s``
-  is abandoned: the pool is killed and rebuilt (checkpoints make the
-  collateral cheap) and the shard retried;
-* **room-granular checkpointing** — workers spill every finished
-  :class:`~repro.fleet.room.RoomReport` through the
-  :class:`~repro.fleet.checkpoint.CheckpointStore`, so a retry of a
-  shard that died 9 rooms into 10 simulates one room, not ten
-  (``rooms_resumed`` counts the savings);
-* **bounded retries** — failed attempts re-enter the queue along a
-  :class:`~repro.infra.RetryPolicy` schedule (the same unified policy
-  ARQ retransmits under), capped by ``max_attempts``;
-* **quarantine** — each shard owns a :class:`~repro.infra.
-  CircuitBreaker`; a repeat offender whose breaker trips is recorded
-  as a quarantined :class:`~repro.fleet.dispatch.ShardFailure` instead
-  of burning the remaining attempt budget;
+* ``backend="process"`` — a ``ProcessPoolExecutor``.  Rooms are
+  acoustically isolated, so shards share no state and the pool is
+  embarrassingly parallel;
+* ``backend="serial"`` — an in-process executor whose ``submit`` runs
+  the job to completion and returns a finished future.  Hard crash
+  faults are downgraded to exceptions (the calling interpreter is not
+  disposable).  This is the obviously-correct reference.
+
+The loop keeps at most ``workers`` attempts in flight, hedges
+included, and stamps each attempt when it is handed to a free slot —
+so waiting in the pool's queue never looks like straggling.  It
+survives every fault shape :mod:`repro.faults.process` injects:
+
+* **hedging** — an attempt older than ``hedge_after_s`` gets a second
+  attempt racing it; the first valid result wins and the loser is
+  counted ``hedges_wasted``, never merged;
+* **deadlines** — an attempt older than ``shard_deadline_s`` is charged
+  a failure and its worker killed (pool rebuild); the other attempts
+  in flight are refunded and re-queued;
+* **pool breaks** — a worker dying by ``os._exit`` breaks the whole
+  pool and every future in it, so the wreck does not say who did it.
+  Every attempt in flight is refunded and its shard becomes a
+  *suspect* that re-runs alone; a break is charged only to an attempt
+  that was running alone, so innocent neighbours never burn budget;
+* **checkpoint resume** — workers spill every finished room but a
+  shard's last (:class:`~repro.fleet.checkpoint.CheckpointStore`), so a
+  retry of a shard that died 9 rooms into 10 simulates one room, not
+  ten;
+* **bounded retries** — a failed attempt re-enters the queue along
+  :data:`RETRY_POLICY`, capped by ``max_attempts``;
+* **quarantine** — each shard owns a :class:`~repro.infra.CircuitBreaker`;
+  a repeat offender whose breaker trips becomes a quarantined
+  :class:`~repro.fleet.runner.ShardFailure`;
 * **integrity validation** — a result is merged only if it is a
   well-formed :class:`ShardReport` for the right shard with exactly
-  the right rooms; a poisoned result is a counted failure, never a
-  corrupted fleet report.
+  the right rooms; poison is a counted failure, redelivered duplicates
+  are dropped.
 
 The headline guarantee is **exact recovery**: rooms are deterministic
-and the supervisor only ever re-executes, resumes, or discards them —
-so under *any* injected schedule of crashes, hangs, poisons and
-duplicates it recovers from, ``FleetReport.identity_signature()``
-equals the fault-free serial reference bit-for-bit.  Recovery changes
-wall-clock, never results.  XEXT17 sweeps exactly this contract.
+and the loop only ever re-executes, resumes or discards them, so under
+any injected schedule it recovers from,
+``FleetReport.identity_signature()`` equals the fault-free serial
+reference bit-for-bit.  XEXT17 sweeps exactly this contract.
 
-All recovery accounting is wired through ``fleet.supervisor.*`` obs
-instruments (zero-overhead-when-disabled as usual) and returned on
-``FleetReport.supervisor`` as a :class:`SupervisorStats`.
+Recovery accounting goes to ``fleet.supervisor.*`` obs counters and to
+``FleetReport.supervisor`` (a :class:`SupervisorStats`).
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 import time as _time
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import obs
-from ..faults.process import (
-    ProcessFaultPlan,
-    SimulatedWorkerCrash,
-    shard_fault_decision,
-)
+from ..faults.process import ProcessFaultPlan, shard_fault_decision
 from ..infra import CircuitBreaker, RetryPolicy
-from .dispatch import ShardFailure, _terminate_pool
+from . import runner
 from .room import RoomReport
-from .runner import FleetReport, ShardReport, build_fleet_report
-from .specs import FleetSpec, ShardSpec, ensure_picklable
-from .worker import ShardJob, run_shard_job
+from .runner import FleetReport, ShardFailure, ShardJob, ShardReport
+from .specs import FleetConfigError, FleetSpec, ShardSpec, ensure_picklable
+
+#: Hedges allowed per shard (each consumes an attempt).
+MAX_HEDGES_PER_SHARD = 1
+#: Backoff of retry *delays*, walked by a shard's consecutive failures
+#: (giving up is the attempt budget's and quarantine's job).
+RETRY_POLICY = RetryPolicy(initial_timeout=0.02, backoff=2.0,
+                           max_timeout=0.25)
+#: Event-loop wake interval when nothing sooner is scheduled.
+POLL_INTERVAL_S = 0.05
+#: Where checkpoint spills go: RAM-backed ``/dev/shm`` when the OS has
+#: it (a spill only has to outlive a worker, not the machine, and file
+#: creation there is several times cheaper), else the temp directory.
+SPILL_ROOT = "/dev/shm" if os.access("/dev/shm", os.W_OK) else None
 
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """The recovery knobs, all bounded, all explicit."""
+    """The recovery knobs, all bounded, all explicit.  The defaults are
+    what a plain ``run_fleet`` call runs under: retries and quarantine,
+    no hedging, no deadline."""
 
     #: Total executions allowed per shard, hedges included.  Must
     #: exceed the fault plan's ``max_faulty_attempts`` for the
@@ -81,24 +102,12 @@ class SupervisorPolicy:
     #: Age (seconds) past which a sole in-flight attempt gets a hedged
     #: re-execution.  ``None`` disables hedging.
     hedge_after_s: float | None = None
-    #: Hedges allowed per shard (each consumes an attempt).
-    max_hedges_per_shard: int = 1
     #: Hard per-attempt deadline: an attempt older than this is
     #: abandoned and its worker killed.  ``None`` disables.
     shard_deadline_s: float | None = None
-    #: Backoff schedule for retry *delays* (not counts — counts are
-    #: ``max_attempts``).  Deadline generous by default: giving up is
-    #: the attempt budget's job.
-    retry_policy: RetryPolicy = field(default_factory=lambda: RetryPolicy(
-        initial_timeout=0.02, backoff=2.0, max_timeout=0.25, deadline=600.0,
-    ))
     #: Consecutive failures that quarantine a shard (its breaker's
     #: failure threshold).
     quarantine_threshold: int = 4
-    #: Spill finished rooms so retries resume instead of recomputing.
-    checkpoint: bool = True
-    #: Event-loop wake interval when nothing sooner is scheduled.
-    poll_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -108,11 +117,6 @@ class SupervisorPolicy:
         if self.hedge_after_s is not None and self.hedge_after_s <= 0:
             raise ValueError(
                 f"hedge_after_s must be positive, got {self.hedge_after_s}"
-            )
-        if self.max_hedges_per_shard < 0:
-            raise ValueError(
-                f"max_hedges_per_shard must be >= 0, "
-                f"got {self.max_hedges_per_shard}"
             )
         if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:
             raise ValueError(
@@ -124,19 +128,14 @@ class SupervisorPolicy:
                 f"quarantine_threshold must be >= 1, "
                 f"got {self.quarantine_threshold}"
             )
-        if self.poll_interval_s <= 0:
-            raise ValueError(
-                f"poll_interval_s must be positive, "
-                f"got {self.poll_interval_s}"
-            )
 
 
 @dataclass
 class SupervisorStats:
-    """Recovery accounting for one supervised run (execution detail —
-    never part of the identity signature)."""
+    """Recovery accounting for one run (execution detail — never part
+    of the identity signature)."""
 
-    backend: str = "process"
+    backend: str = "serial"
     workers: int = 1
     attempts_total: int = 0
     crashes_detected: int = 0
@@ -152,6 +151,22 @@ class SupervisorStats:
     pool_rebuilds: int = 0
     shards_quarantined: int = 0
     shards_failed: int = 0
+
+
+#: Stats fields mirrored by a ``fleet.supervisor.<field>`` obs counter.
+_COUNTED = (
+    "crashes_detected", "stragglers_hedged", "hedges_wasted",
+    "rooms_resumed", "poisoned_reports", "duplicates_injected",
+    "duplicates_dropped", "late_results_dropped", "retries_scheduled",
+    "deadline_kills", "pool_rebuilds", "shards_quarantined",
+)
+
+#: Which counter each kind of failed attempt bumps.
+_FAILURE_COUNTERS = {
+    "crash": "crashes_detected",
+    "poison": "poisoned_reports",
+    "deadline": "deadline_kills",
+}
 
 
 def validate_shard_report(report: object, shard: ShardSpec) -> str | None:
@@ -173,40 +188,74 @@ def validate_shard_report(report: object, shard: ShardSpec) -> str | None:
     return None
 
 
+def _terminate_pool(pool) -> None:
+    """Shut a pool down even if its workers are wedged.
+
+    ``shutdown(wait=True)`` on a pool with a hung worker blocks
+    forever, so the workers are terminated first; joining the corpses
+    afterwards is prompt.  Reaches into ``_processes`` — a CPython
+    implementation detail, but the only eviction mechanism
+    ``ProcessPoolExecutor`` has, and guarded so a future stdlib rename
+    degrades to a plain (possibly blocking) shutdown rather than a
+    crash.
+    """
+    processes = getattr(pool, "_processes", None) or {}
+    for process in list(processes.values()):
+        try:
+            if process.is_alive():
+                process.terminate()
+        except Exception:  # pragma: no cover - best-effort teardown
+            pass
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+class _InProcessExecutor:
+    """The serial backend: ``submit`` runs the job to completion in
+    this interpreter and hands back an already-finished future."""
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as error:
+            future.set_exception(error)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False):
+        pass
+
+
 class _Flight:
     """One in-flight execution attempt."""
 
-    __slots__ = ("shard_id", "attempt", "hedge", "duplicate",
-                 "submitted_at", "hedged")
+    __slots__ = ("shard_id", "attempt", "hedge", "duplicate", "started_at")
 
-    def __init__(self, shard_id: int, attempt: int, submitted_at: float,
-                 hedge: bool = False, duplicate: bool = False) -> None:
+    def __init__(self, shard_id: int, attempt: int, hedge: bool = False,
+                 duplicate: bool = False) -> None:
         self.shard_id = shard_id
         self.attempt = attempt
         self.hedge = hedge
+        #: The injected redelivery of an already-merged result.
         self.duplicate = duplicate
-        self.submitted_at = submitted_at
-        #: This flight already triggered a hedge (never hedge twice).
-        self.hedged = False
+        #: When the attempt was handed to a free slot.
+        self.started_at = 0.0
 
 
 class _ShardState:
-    """Supervisor-side bookkeeping for one shard."""
+    """Loop-side bookkeeping for one shard."""
 
     __slots__ = ("spec", "attempts", "hedges", "report", "failure",
-                 "schedule", "breaker", "inflight", "ready_at",
-                 "exhausted_error")
+                 "breaker", "inflight", "ready_at", "exhausted_error")
 
     def __init__(self, spec: ShardSpec, breaker: CircuitBreaker) -> None:
         self.spec = spec
-        self.attempts = 0          # executions started (hedges included)
+        self.attempts = 0          # executions charged (hedges included)
         self.hedges = 0
         self.report: ShardReport | None = None
         self.failure: ShardFailure | None = None
-        self.schedule = None       # RetrySchedule, lazily created
         self.breaker = breaker
         self.inflight = 0
-        self.ready_at: float | None = 0.0   # next submission time
+        self.ready_at: float | None = 0.0   # next launch time
         self.exhausted_error: str | None = None
 
     @property
@@ -214,504 +263,394 @@ class _ShardState:
         return self.report is not None or self.failure is not None
 
 
-class FleetSupervisor:
-    """Self-healing driver over both fleet backends.
+class _ShardLoop:
+    """One fleet execution: the event loop and its bookkeeping."""
 
-    ``backend="process"`` is the real thing: a worker pool with
-    hedging, deadlines, pool rebuilds and checkpoint resume.
-    ``backend="serial"`` runs the same fault model, validation,
-    retry/quarantine and checkpoint machinery in-process — no hedging
-    or deadlines (there is nobody to race), hard crashes downgraded to
-    soft (the driver's interpreter is not disposable) — which is what
-    makes property tests over fault schedules cheap.
-    """
-
-    def __init__(self, policy: SupervisorPolicy | None = None,
-                 checkpoint_dir: str | None = None) -> None:
-        self.policy = policy or SupervisorPolicy()
+    def __init__(self, shards: tuple[ShardSpec, ...], backend: str,
+                 workers: int, faults: ProcessFaultPlan | None, seed: int,
+                 policy: SupervisorPolicy, checkpoint_dir: str) -> None:
+        self.process = backend == "process"
+        self.workers = workers
+        self.faults = faults
+        self.seed = seed
+        self.policy = policy
         self.checkpoint_dir = checkpoint_dir
-        self._m_crashes = obs.counter("fleet.supervisor.crashes_detected")
-        self._m_hedged = obs.counter("fleet.supervisor.stragglers_hedged")
-        self._m_hedges_wasted = obs.counter("fleet.supervisor.hedges_wasted")
-        self._m_resumed = obs.counter("fleet.supervisor.rooms_resumed")
-        self._m_poisoned = obs.counter("fleet.supervisor.poisoned_reports")
-        self._m_dup_dropped = obs.counter(
-            "fleet.supervisor.duplicates_dropped")
-        self._m_retries = obs.counter("fleet.supervisor.retries")
-        self._m_deadline_kills = obs.counter(
-            "fleet.supervisor.deadline_kills")
-        self._m_rebuilds = obs.counter("fleet.supervisor.pool_rebuilds")
-        self._m_quarantined = obs.counter(
-            "fleet.supervisor.shards_quarantined")
-
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        spec: FleetSpec,
-        num_shards: int = 1,
-        backend: str = "process",
-        workers: int | None = None,
-        faults: ProcessFaultPlan | None = None,
-        seed: int | None = None,
-    ) -> FleetReport:
-        """Execute the fleet under supervision and return the merged
-        report (``report.supervisor`` carries the recovery stats)."""
-        if backend not in ("serial", "process"):
-            raise ValueError(f"unknown fleet backend {backend!r}")
-        wall_start = _time.perf_counter()
-        seed = spec.seed if seed is None else seed
-        shard_specs = spec.shard_specs(num_shards)
-        workers = workers or num_shards
-        stats = SupervisorStats(backend=backend, workers=workers)
-        ckpt_dir, ckpt_is_temp = self._checkpoint_dir()
-        try:
-            if backend == "serial":
-                reports, failures = self._run_serial(
-                    shard_specs, faults, seed, ckpt_dir, stats)
-            else:
-                reports, failures = self._run_process(
-                    shard_specs, workers, faults, seed, ckpt_dir, stats)
-        finally:
-            if ckpt_is_temp and ckpt_dir is not None:
-                shutil.rmtree(ckpt_dir, ignore_errors=True)
-        stats.shards_failed = len(failures)
-        return build_fleet_report(
-            spec=spec,
-            backend=backend,
-            num_shards=num_shards,
-            workers=workers if backend == "process" else 1,
-            shards=reports,
-            failures=failures,
-            wall_s=_time.perf_counter() - wall_start,
-            supervisor=stats,
-        )
-
-    def _checkpoint_dir(self) -> tuple[str | None, bool]:
-        if not self.policy.checkpoint:
-            return None, False
-        if self.checkpoint_dir is not None:
-            return str(self.checkpoint_dir), False
-        return tempfile.mkdtemp(prefix="repro-fleet-ckpt-"), True
-
-    def _breaker(self, shard_id: int) -> CircuitBreaker:
-        # Recovery timeout far beyond any run length: quarantine is
-        # final for the run, there is no half-open re-probe of a shard.
-        return CircuitBreaker(
-            f"fleet.shard{shard_id}",
-            failure_threshold=self.policy.quarantine_threshold,
-            recovery_timeout=86_400.0,
-        )
-
-    # ------------------------------------------------------------------
-    # serial backend
-    # ------------------------------------------------------------------
-
-    def _run_serial(self, shard_specs, faults, seed, ckpt_dir, stats):
-        policy = self.policy
-        reports: list[ShardReport] = []
-        failures: list[ShardFailure] = []
-        for shard in shard_specs:
-            state = _ShardState(shard, self._breaker(shard.shard_id))
-            while not state.resolved:
-                now = _time.monotonic()
-                if not state.breaker.allow(now):
-                    stats.shards_quarantined += 1
-                    self._m_quarantined.inc()
-                    state.failure = ShardFailure(
-                        shard_id=shard.shard_id,
-                        error=f"quarantined after "
-                              f"{state.breaker.consecutive_failures} "
-                              f"consecutive failures",
-                        attempts=state.attempts,
-                        quarantined=True,
-                    )
-                    break
-                if state.attempts >= policy.max_attempts:
-                    state.failure = ShardFailure(
-                        shard_id=shard.shard_id,
-                        error=state.exhausted_error
-                              or "attempt budget exhausted",
-                        attempts=state.attempts,
-                    )
-                    break
-                job = ShardJob(
-                    shard=shard, attempt=state.attempts, seed=seed,
-                    faults=faults, checkpoint_dir=ckpt_dir,
-                    hard_crash_ok=False,
-                )
-                attempt = state.attempts
-                state.attempts += 1
-                stats.attempts_total += 1
-                try:
-                    result = run_shard_job(job)
-                except SimulatedWorkerCrash as exc:
-                    stats.crashes_detected += 1
-                    self._m_crashes.inc()
-                    self._note_retry(state, repr(exc), stats)
-                    continue
-                error = validate_shard_report(result, shard)
-                if error is not None:
-                    stats.poisoned_reports += 1
-                    self._m_poisoned.inc()
-                    self._note_retry(state, error, stats)
-                    continue
-                state.breaker.record_success(_time.monotonic())
-                state.report = result
-                stats.rooms_resumed += result.rooms_resumed
-                self._m_resumed.inc(result.rooms_resumed)
-                decision = shard_fault_decision(
-                    faults, seed, shard.shard_id, attempt)
-                if decision.duplicate:
-                    # An at-least-once queue redelivers: run the very
-                    # same attempt again (cheap — it resumes every
-                    # room from checkpoint) and let dedup drop it.
-                    stats.duplicates_injected += 1
-                    stats.attempts_total += 1
-                    try:
-                        echo = run_shard_job(job)
-                    except SimulatedWorkerCrash:
-                        echo = None
-                    if echo is not None:
-                        stats.duplicates_dropped += 1
-                        self._m_dup_dropped.inc()
-            if state.report is not None:
-                reports.append(state.report)
-            elif state.failure is not None:
-                failures.append(state.failure)
-        return reports, failures
-
-    def _note_retry(self, state: _ShardState, error: str,
-                    stats: SupervisorStats) -> None:
-        """Serial-path failure bookkeeping: breaker + retry intent.
-
-        Serial execution has no event loop to wait on, so the retry
-        *delay* is skipped — only the schedule's accounting is
-        exercised; counts and outcomes match the process path."""
-        state.breaker.record_failure(_time.monotonic())
-        state.exhausted_error = error
-        stats.retries_scheduled += 1
-        self._m_retries.inc()
-
-    # ------------------------------------------------------------------
-    # process backend
-    # ------------------------------------------------------------------
-
-    def _run_process(self, shard_specs, workers, faults, seed, ckpt_dir,
-                     stats):
-        policy = self.policy
-        for shard in shard_specs:
-            ensure_picklable(shard,
-                             f"ShardSpec(shard_id={shard.shard_id})")
-        states = {
-            shard.shard_id: _ShardState(shard, self._breaker(shard.shard_id))
-            for shard in shard_specs
+        self.stats = SupervisorStats(backend=backend, workers=workers)
+        self.counters = {name: obs.counter(f"fleet.supervisor.{name}")
+                         for name in _COUNTED}
+        # Quarantine is final for the run: the recovery timeout is far
+        # beyond any run length, so a tripped shard is never re-probed.
+        self.states = {
+            shard.shard_id: _ShardState(shard, CircuitBreaker(
+                f"fleet.shard{shard.shard_id}",
+                failure_threshold=policy.quarantine_threshold,
+                recovery_timeout=86_400.0,
+            ))
+            for shard in shards
         }
-        inflight: dict = {}  # future -> _Flight
-        pool = ProcessPoolExecutor(max_workers=workers)
+        self.inflight: dict[Future, _Flight] = {}
+        self.redeliveries: list[_Flight] = []
+        #: Shards whose attempt was in flight when the pool broke; each
+        #: runs alone until an attempt of it completes.
+        self.suspects: set[int] = set()
+        self.pool = self._new_pool()
 
-        def _now() -> float:
-            return _time.monotonic()
+    def _new_pool(self):
+        if self.process:
+            return ProcessPoolExecutor(max_workers=self.workers)
+        return _InProcessExecutor()
 
-        def _submit(state: _ShardState, hedge: bool = False,
-                    duplicate: bool = False,
-                    attempt: int | None = None) -> None:
-            nonlocal pool
-            if attempt is None:
-                attempt = state.attempts
-                state.attempts += 1
-            job = ShardJob(
-                shard=state.spec, attempt=attempt, seed=seed,
-                faults=faults, checkpoint_dir=ckpt_dir,
-                hard_crash_ok=True, hedge=hedge,
-            )
-            stats.attempts_total += 1
-            flight = _Flight(state.spec.shard_id, attempt, _now(),
-                             hedge=hedge, duplicate=duplicate)
-            try:
-                future = pool.submit(run_shard_job, job)
-            except BrokenExecutor:
-                # Break discovered at submit time: rebuild and retry
-                # this one submission on the fresh pool.
-                _terminate_pool(pool)
-                pool = ProcessPoolExecutor(max_workers=workers)
-                stats.pool_rebuilds += 1
-                self._m_rebuilds.inc()
-                future = pool.submit(run_shard_job, job)
-            inflight[future] = flight
-            state.inflight += 1
+    def count(self, name: str, amount: int = 1) -> None:
+        setattr(self.stats, name, getattr(self.stats, name) + amount)
+        self.counters[name].inc(amount)
 
-        def _finalize_failure(state: _ShardState, error: str,
-                              quarantined: bool = False) -> None:
-            state.failure = ShardFailure(
-                shard_id=state.spec.shard_id, error=error,
-                attempts=state.attempts, quarantined=quarantined,
-            )
-            if quarantined:
-                stats.shards_quarantined += 1
-                self._m_quarantined.inc()
+    # ------------------------------------------------------------------
 
-        def _handle_failure(state: _ShardState, error: str,
-                            kind: str) -> None:
-            """One attempt died; decide retry / quarantine / give up."""
-            now = _now()
-            state.breaker.record_failure(now)
-            if state.resolved:
-                return
-            with obs.span("fleet.supervisor.recover",
-                          shard=state.spec.shard_id, kind=kind):
-                if not state.breaker.allow(now):
-                    _finalize_failure(
-                        state,
-                        f"quarantined after "
-                        f"{state.breaker.consecutive_failures} consecutive "
-                        f"failures (last: {error})",
-                        quarantined=True,
-                    )
-                    return
-                if state.attempts >= policy.max_attempts:
-                    state.exhausted_error = error
-                    if state.inflight == 0 and state.ready_at is None:
-                        _finalize_failure(
-                            state, f"attempt budget exhausted ({error})")
-                    return
-                if state.ready_at is not None or state.inflight > 0:
-                    # A retry is already queued, or a sibling attempt
-                    # (hedge) is still racing — no extra submission.
-                    return
-                if state.schedule is None:
-                    state.schedule = policy.retry_policy.schedule(now)
-                retry_at = state.schedule.next_retry(now)
-                if retry_at is None:
-                    _finalize_failure(
-                        state, f"retry deadline exhausted ({error})")
-                    return
-                state.ready_at = retry_at
-                stats.retries_scheduled += 1
-                self._m_retries.inc()
-
-        def _accept(state: _ShardState, flight: _Flight,
-                    result: ShardReport) -> None:
-            state.report = result
-            state.breaker.record_success(_now())
-            stats.rooms_resumed += result.rooms_resumed
-            self._m_resumed.inc(result.rooms_resumed)
-            decision = shard_fault_decision(
-                faults, seed, state.spec.shard_id, flight.attempt)
-            if decision.duplicate and not flight.duplicate:
-                # Redeliver the same attempt once; dedup must drop it.
-                stats.duplicates_injected += 1
-                _submit(state, duplicate=True, attempt=flight.attempt)
-
-        def _drop_stale(flight: _Flight) -> None:
-            if flight.hedge:
-                stats.hedges_wasted += 1
-                self._m_hedges_wasted.inc()
-            elif flight.duplicate:
-                stats.duplicates_dropped += 1
-                self._m_dup_dropped.inc()
-            else:
-                stats.late_results_dropped += 1
-
-        def _kill_and_requeue_innocents(expired_ids: set[int]) -> None:
-            """The pool is about to die (hung worker / break): refund
-            every innocent in-flight attempt and line it up again."""
-            nonlocal pool
-            for future, flight in list(inflight.items()):
-                state = states[flight.shard_id]
-                state.inflight -= 1
-                if flight.shard_id in expired_ids or state.resolved:
-                    continue
-                if flight.duplicate:
-                    stats.duplicates_dropped += 1
-                    self._m_dup_dropped.inc()
-                    continue
-                state.attempts -= 1  # refund: casualty, not offender
-                stats.attempts_total -= 1
-                if state.ready_at is None:
-                    state.ready_at = _now()
-            inflight.clear()
-            _terminate_pool(pool)
-            pool = ProcessPoolExecutor(max_workers=workers)
-            stats.pool_rebuilds += 1
-            self._m_rebuilds.inc()
-
+    def run(self) -> tuple[list[ShardReport], list[ShardFailure]]:
+        states = self.states.values()
         try:
-            while not all(state.resolved for state in states.values()):
-                now = _now()
-                # -- submissions whose time has come -------------------
-                for state in states.values():
-                    if state.resolved or state.ready_at is None:
-                        continue
-                    if state.ready_at <= now:
-                        state.ready_at = None
-                        _submit(state)
-                # -- stall guard (should be unreachable) ---------------
-                if not inflight and not any(
-                        state.ready_at is not None for state in
-                        states.values() if not state.resolved):
-                    for state in states.values():
-                        if not state.resolved:
-                            _finalize_failure(
-                                state,
-                                state.exhausted_error
-                                or "supervisor stalled with no live "
-                                   "attempt",
-                            )
+            while self.redeliveries or not all(s.resolved for s in states):
+                self._launch_ready()
+                done = self._wait()
+                if done is None:
                     break
-                # -- how long may we sleep? ----------------------------
-                wake_at = now + policy.poll_interval_s
-                for state in states.values():
-                    if not state.resolved and state.ready_at is not None:
-                        wake_at = min(wake_at, state.ready_at)
-                if policy.hedge_after_s is not None:
-                    for flight in inflight.values():
-                        if not flight.hedged:
-                            wake_at = min(
-                                wake_at,
-                                flight.submitted_at + policy.hedge_after_s,
-                            )
-                if policy.shard_deadline_s is not None:
-                    for flight in inflight.values():
-                        wake_at = min(
-                            wake_at,
-                            flight.submitted_at + policy.shard_deadline_s,
-                        )
-                timeout = max(wake_at - now, 0.0)
-                if inflight:
-                    done, _ = wait(inflight, timeout=timeout,
-                                   return_when=FIRST_COMPLETED)
-                else:
-                    _time.sleep(timeout)
-                    done = ()
-                # -- completions ---------------------------------------
-                broken = False
-                for future in done:
-                    flight = inflight.pop(future)
-                    state = states[flight.shard_id]
-                    state.inflight -= 1
-                    error = future.exception()
-                    if error is not None and isinstance(error,
-                                                        BrokenExecutor):
-                        broken = True
-                        if not state.resolved and not flight.duplicate:
-                            stats.crashes_detected += 1
-                            self._m_crashes.inc()
-                            _handle_failure(state, repr(error), "crash")
-                        elif flight.duplicate:
-                            stats.duplicates_dropped += 1
-                            self._m_dup_dropped.inc()
-                        continue
-                    if error is not None:
-                        if state.resolved or flight.duplicate:
-                            _drop_stale(flight)
-                            continue
-                        stats.crashes_detected += 1
-                        self._m_crashes.inc()
-                        _handle_failure(state, repr(error), "crash")
-                        continue
-                    result = future.result()
-                    if state.resolved:
-                        _drop_stale(flight)
-                        continue
-                    invalid = validate_shard_report(result, state.spec)
-                    if invalid is not None:
-                        if flight.duplicate:
-                            _drop_stale(flight)
-                            continue
-                        stats.poisoned_reports += 1
-                        self._m_poisoned.inc()
-                        _handle_failure(state, invalid, "poison")
-                        continue
-                    if flight.duplicate:
-                        # The injected redelivery of an already-merged
-                        # result: dedup drops it, counted.
-                        stats.duplicates_dropped += 1
-                        self._m_dup_dropped.inc()
-                        continue
-                    _accept(state, flight, result)
-                if broken:
-                    _kill_and_requeue_innocents(set())
-                    continue
-                # -- straggler detection / hedging ---------------------
-                if policy.hedge_after_s is not None:
-                    now = _now()
-                    for future, flight in list(inflight.items()):
-                        state = states[flight.shard_id]
-                        if (state.resolved or flight.hedged
-                                or flight.duplicate
-                                or state.inflight != 1
-                                or state.hedges
-                                >= policy.max_hedges_per_shard
-                                or state.attempts >= policy.max_attempts):
-                            continue
-                        if now - flight.submitted_at >= policy.hedge_after_s:
-                            flight.hedged = True
-                            state.hedges += 1
-                            stats.stragglers_hedged += 1
-                            self._m_hedged.inc()
-                            _submit(state, hedge=True)
-                # -- hard deadlines ------------------------------------
-                if policy.shard_deadline_s is not None and inflight:
-                    now = _now()
-                    expired = [
-                        (future, flight)
-                        for future, flight in inflight.items()
-                        if now - flight.submitted_at
-                        >= policy.shard_deadline_s and not future.done()
-                    ]
-                    if expired:
-                        expired_ids = set()
-                        for future, flight in expired:
-                            inflight.pop(future)
-                            state = states[flight.shard_id]
-                            state.inflight -= 1
-                            expired_ids.add(flight.shard_id)
-                            stats.deadline_kills += 1
-                            self._m_deadline_kills.inc()
-                            if not state.resolved and not flight.duplicate:
-                                _handle_failure(
-                                    state,
-                                    f"attempt exceeded "
-                                    f"{policy.shard_deadline_s:.3f} s "
-                                    f"deadline (worker killed)",
-                                    "deadline",
-                                )
-                        _kill_and_requeue_innocents(expired_ids)
+                if not self._collect(done):
+                    self._hedge_stragglers()
+                    self._kill_expired()
         finally:
-            # Hedge losers / duplicates may still be in flight; they
-            # will never be used — count and kill them.
-            for flight in inflight.values():
-                _drop_stale(flight)
-            _terminate_pool(pool)
-        reports = [state.report for state in states.values()
-                   if state.report is not None]
-        failures = [state.failure for state in states.values()
-                    if state.failure is not None]
-        return reports, failures
+            # Hedge losers and redeliveries may still be pending; they
+            # will never be used — count them and kill the pool.
+            for flight in [*self.inflight.values(), *self.redeliveries]:
+                self._drop_stale(flight)
+            _terminate_pool(self.pool)
+        failures = [s.failure for s in states if s.failure is not None]
+        self.stats.shards_failed = len(failures)
+        return [s.report for s in states if s.report is not None], failures
+
+    def _solo(self) -> bool:
+        """A suspect is in flight, so nothing may join it."""
+        return any(flight.shard_id in self.suspects
+                   for flight in self.inflight.values())
+
+    def _launch_ready(self) -> None:
+        """Hand ready attempts to free slots.  While a suspect is ready
+        the pool drains, then the suspect runs alone."""
+        if self._solo():
+            return
+        now = _time.monotonic()
+        ready = [state for state in self.states.values()
+                 if not state.resolved and state.ready_at is not None
+                 and state.ready_at <= now]
+        suspects = [state for state in ready
+                    if state.spec.shard_id in self.suspects]
+        if suspects:
+            if not self.inflight:
+                self._launch(suspects[0])
+            return
+        while self.redeliveries and len(self.inflight) < self.workers:
+            if not self._submit(self.redeliveries.pop(0)):
+                return
+        for state in ready:
+            if len(self.inflight) >= self.workers or not self._launch(state):
+                return
+
+    def _launch(self, state: _ShardState, hedge: bool = False) -> bool:
+        if not self._submit(_Flight(state.spec.shard_id, state.attempts,
+                                    hedge=hedge)):
+            return False
+        state.attempts += 1
+        state.ready_at = None
+        return True
+
+    def _submit(self, flight: _Flight) -> bool:
+        """Start one attempt; ``False`` if the pool turned out broken."""
+        state = self.states[flight.shard_id]
+        job = ShardJob(
+            shard=state.spec, checkpoint_dir=self.checkpoint_dir,
+            attempt=flight.attempt, seed=self.seed, faults=self.faults,
+            hard_crash_ok=self.process,
+        )
+        flight.started_at = _time.monotonic()
+        try:
+            future = self.pool.submit(runner.run_shard, job)
+        except BrokenExecutor as error:
+            if flight.duplicate:
+                self._drop_stale(flight)
+            self._break(error)
+            return False
+        self.inflight[future] = flight
+        state.inflight += 1
+        self.stats.attempts_total += 1
+        return True
+
+    def _wait(self) -> set[Future] | None:
+        """Block until a completion or the next timer; ``None`` when
+        nothing is in flight or scheduled (the loop has stalled)."""
+        now = _time.monotonic()
+        pending = [state.ready_at for state in self.states.values()
+                   if not state.resolved and state.ready_at is not None]
+        if not self.inflight:
+            if not pending:
+                self._give_up()
+                return None
+            _time.sleep(max(min(pending) - now, 0.0))
+            return set()
+        timers = [now + POLL_INTERVAL_S, *pending]
+        hedge_after = self.policy.hedge_after_s
+        deadline = self.policy.shard_deadline_s
+        for flight in self.inflight.values():
+            if (hedge_after is not None and self.states[flight.shard_id]
+                    .hedges < MAX_HEDGES_PER_SHARD):
+                timers.append(flight.started_at + hedge_after)
+            if deadline is not None:
+                timers.append(flight.started_at + deadline)
+        # Timers already past are blocked on a busy slot; only a
+        # completion can unblock them, and wait() returns on that.
+        wake_at = min(timer for timer in timers if timer > now)
+        done, _ = wait(self.inflight, timeout=wake_at - now,
+                       return_when=FIRST_COMPLETED)
+        return done
+
+    def _collect(self, done: set[Future]) -> bool:
+        """Settle finished attempts; ``True`` if the pool broke."""
+        broken = None
+        for future in done:
+            error = future.exception()
+            if isinstance(error, BrokenExecutor):
+                broken = error  # settled below, with the rest in flight
+                continue
+            flight = self.inflight.pop(future)
+            state = self.states[flight.shard_id]
+            state.inflight -= 1
+            if state.resolved:
+                self._drop_stale(flight)
+                continue
+            self.suspects.discard(flight.shard_id)
+            if error is not None:
+                self._fail_attempt(state, repr(error), "crash")
+                continue
+            report = future.result()
+            invalid = validate_shard_report(report, state.spec)
+            if invalid is not None:
+                self._fail_attempt(state, invalid, "poison")
+            else:
+                self._accept(state, flight, report)
+        if broken is None:
+            return False
+        self._break(broken)
+        return True
+
+    def _accept(self, state: _ShardState, flight: _Flight,
+                report: ShardReport) -> None:
+        state.report = report
+        state.breaker.record_success(_time.monotonic())
+        self.count("rooms_resumed", report.rooms_resumed)
+        if shard_fault_decision(self.faults, self.seed, state.spec.shard_id,
+                                flight.attempt).duplicate:
+            # An at-least-once queue redelivers the same attempt (cheap:
+            # it resumes every room from checkpoint); dedup drops it.
+            self.count("duplicates_injected")
+            self.redeliveries.append(_Flight(
+                state.spec.shard_id, flight.attempt, duplicate=True))
+
+    def _drop_stale(self, flight: _Flight) -> None:
+        if flight.hedge:
+            self.count("hedges_wasted")
+        elif flight.duplicate:
+            self.count("duplicates_dropped")
+        else:
+            self.count("late_results_dropped")
+
+    def _fail_attempt(self, state: _ShardState, error: str,
+                      kind: str) -> None:
+        """One attempt died; decide retry, quarantine or give up."""
+        self.count(_FAILURE_COUNTERS[kind])
+        now = _time.monotonic()
+        state.breaker.record_failure(now)
+        with obs.span("fleet.supervisor.recover",
+                      shard=state.spec.shard_id, kind=kind):
+            if not state.breaker.allow(now):
+                self._finalize(
+                    state,
+                    f"quarantined after "
+                    f"{state.breaker.consecutive_failures} consecutive "
+                    f"failures (last: {error})",
+                    quarantined=True,
+                )
+            elif state.attempts >= self.policy.max_attempts:
+                state.exhausted_error = error
+                if state.inflight == 0 and state.ready_at is None:
+                    self._finalize(
+                        state, f"attempt budget exhausted ({error})")
+            elif state.inflight == 0 and state.ready_at is None:
+                # (Otherwise a retry is queued already, or a sibling
+                # attempt is still racing.)
+                state.ready_at = now + RETRY_POLICY.delay(
+                    state.breaker.consecutive_failures - 1)
+                self.count("retries_scheduled")
+
+    def _finalize(self, state: _ShardState, error: str,
+                  quarantined: bool = False) -> None:
+        state.failure = ShardFailure(
+            shard_id=state.spec.shard_id, error=error,
+            attempts=state.attempts, quarantined=quarantined,
+        )
+        state.ready_at = None
+        self.suspects.discard(state.spec.shard_id)
+        if quarantined:
+            self.count("shards_quarantined")
+
+    def _give_up(self) -> None:
+        """Stall guard: no attempt is live or scheduled, yet shards are
+        unresolved (unreachable by construction; a hang is worse)."""
+        for state in self.states.values():
+            if not state.resolved:
+                self._finalize(state, state.exhausted_error
+                               or "no live or scheduled attempt left")
+
+    def _hedge_stragglers(self) -> None:
+        hedge_after = self.policy.hedge_after_s
+        if hedge_after is None or self.suspects:
+            return
+        now = _time.monotonic()
+        for flight in list(self.inflight.values()):
+            if len(self.inflight) >= self.workers:
+                return
+            state = self.states[flight.shard_id]
+            if (state.resolved or state.inflight != 1
+                    or state.hedges >= MAX_HEDGES_PER_SHARD
+                    or state.attempts >= self.policy.max_attempts
+                    or now - flight.started_at < hedge_after):
+                continue
+            if not self._launch(state, hedge=True):
+                return
+            state.hedges += 1
+            self.count("stragglers_hedged")
+
+    def _kill_expired(self) -> None:
+        deadline = self.policy.shard_deadline_s
+        if deadline is None:
+            return
+        now = _time.monotonic()
+        expired = [flight for future, flight in self.inflight.items()
+                   if now - flight.started_at >= deadline
+                   and not future.done()]
+        if expired:
+            self._evict(expired, f"attempt exceeded {deadline:.3f} s "
+                                 f"deadline (worker killed)", "deadline")
+
+    def _break(self, error: BaseException) -> None:
+        """The pool broke under the attempts in flight.  One running
+        alone is charged; otherwise all are refunded as suspects."""
+        flights = list(self.inflight.values())
+        self._evict(flights if len(flights) == 1 else [], repr(error),
+                    "crash", suspect=True)
+
+    def _evict(self, charged: list[_Flight], error: str, kind: str,
+               suspect: bool = False) -> None:
+        """Kill the pool under every attempt in flight and stand up a
+        fresh one.  ``charged`` attempts fail with ``error``; every
+        other live attempt is refunded and re-queued — a casualty, not
+        an offender — and, after a break, marked a suspect."""
+        flights = list(self.inflight.values())
+        self.inflight.clear()
+        _terminate_pool(self.pool)
+        self.pool = self._new_pool()
+        self.count("pool_rebuilds")
+        now = _time.monotonic()
+        for flight in flights:
+            state = self.states[flight.shard_id]
+            state.inflight -= 1
+            if state.resolved:
+                self._drop_stale(flight)
+                continue
+            if suspect:
+                self.suspects.add(flight.shard_id)
+            if flight in charged:
+                self._fail_attempt(state, error, kind)
+                continue
+            state.attempts -= 1
+            self.stats.attempts_total -= 1
+            if state.ready_at is None:
+                state.ready_at = now
 
 
-def run_fleet_supervised(
+def run_fleet(
     spec: FleetSpec,
     num_shards: int = 1,
-    backend: str = "process",
+    backend: str = "serial",
     workers: int | None = None,
     faults: ProcessFaultPlan | None = None,
     policy: SupervisorPolicy | None = None,
-    checkpoint_dir: str | None = None,
     seed: int | None = None,
 ) -> FleetReport:
-    """One-call supervised fleet execution (see :class:`FleetSupervisor`)."""
-    supervisor = FleetSupervisor(policy=policy,
-                                 checkpoint_dir=checkpoint_dir)
-    return supervisor.run(spec, num_shards=num_shards, backend=backend,
-                          workers=workers, faults=faults, seed=seed)
+    """Partition the fleet into shards and execute them.
+
+    Parameters
+    ----------
+    spec:
+        The fleet topology.
+    num_shards:
+        How many contiguous room-groups to cut the fleet into.
+    backend:
+        ``"serial"`` (reference) or ``"process"`` (pool).
+    workers:
+        Pool width for the process backend (also the cap on attempts
+        in flight); defaults to ``num_shards``.  Must be >= 1.
+    faults:
+        Optional process fault plan (chaos testing).
+    policy:
+        Recovery knobs; the default retries and quarantines but never
+        hedges or kills.
+    seed:
+        Seed of the fault schedule; defaults to ``spec.seed``.
+    """
+    if backend not in ("serial", "process"):
+        raise ValueError(f"unknown fleet backend {backend!r}")
+    if workers is not None and workers < 1:
+        raise FleetConfigError(f"workers must be >= 1, got {workers}")
+    wall_start = _time.perf_counter()
+    shards = spec.shard_specs(num_shards)
+    if backend == "process":
+        workers = num_shards if workers is None else workers
+        for shard in shards:
+            ensure_picklable(shard, f"ShardSpec(shard_id={shard.shard_id})")
+    else:
+        workers = 1
+    checkpoint_dir = tempfile.mkdtemp(prefix="repro-fleet-ckpt-",
+                                      dir=SPILL_ROOT)
+    try:
+        loop = _ShardLoop(
+            shards, backend, workers, faults,
+            spec.seed if seed is None else seed,
+            policy or SupervisorPolicy(), checkpoint_dir,
+        )
+        reports, failures = loop.run()
+    finally:
+        shutil.rmtree(checkpoint_dir, ignore_errors=True)
+    return runner.build_fleet_report(
+        spec=spec,
+        backend=backend,
+        num_shards=num_shards,
+        workers=workers,
+        shards=reports,
+        failures=failures,
+        wall_s=_time.perf_counter() - wall_start,
+        supervisor=loop.stats,
+    )
+
+
+#: The supervised entry point's earlier name; the same function.
+run_fleet_supervised = run_fleet
 
 
 __all__ = [
-    "FleetSupervisor",
+    "MAX_HEDGES_PER_SHARD",
+    "POLL_INTERVAL_S",
+    "RETRY_POLICY",
     "SupervisorPolicy",
     "SupervisorStats",
+    "run_fleet",
     "run_fleet_supervised",
     "validate_shard_report",
 ]

@@ -12,8 +12,7 @@ from repro.faults.process import (
     crash_now,
     shard_fault_decision,
 )
-from repro.fleet import FleetSpec, ensure_picklable
-from repro.fleet.worker import ShardJob
+from repro.fleet import FleetSpec, ShardJob, ensure_picklable
 
 PLAN = ProcessFaultPlan(crash_rate=0.4, straggler_rate=0.3,
                         poison_rate=0.2, duplicate_rate=0.2)

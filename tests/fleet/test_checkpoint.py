@@ -4,7 +4,13 @@ import pickle
 
 import pytest
 
-from repro.fleet import FleetSpec, run_room, run_shard
+from repro.fleet import (
+    FleetSpec,
+    ShardJob,
+    merge_fleet_metrics,
+    run_room,
+    run_shard,
+)
 from repro.fleet.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -29,14 +35,16 @@ def test_room_report_round_trips_exactly(rooms):
         assert checkpoint_roundtrip_exact(room)
 
 
-def test_shard_report_pickle_preserves_registry_merge_order(rooms):
-    # ShardReport crosses the process boundary whole; its merged
-    # registry (room-order merge) must survive exactly, not just
-    # approximately.
-    report = run_shard(SHARD)
+def test_shard_report_pickle_preserves_registry_merge_order(tmp_path,
+                                                           rooms):
+    # ShardReport crosses the process boundary whole; the registry
+    # merged from its rooms (room-order merge) must survive exactly,
+    # not just approximately.
+    report = run_shard(ShardJob(shard=SHARD, checkpoint_dir=str(tmp_path)))
     clone = pickle.loads(pickle.dumps(report, pickle.HIGHEST_PROTOCOL))
     assert clone.shard_id == report.shard_id
-    assert clone.metrics.snapshot() == report.metrics.snapshot()
+    assert (merge_fleet_metrics([clone]).snapshot()
+            == merge_fleet_metrics([report]).snapshot())
     assert ([room.identity_signature() for room in clone.rooms]
             == [room.identity_signature() for room in report.rooms])
 
@@ -106,14 +114,10 @@ def test_atomic_write_leaves_no_tmp_droppings(tmp_path, rooms):
     assert leftovers == []
 
 
-def test_discard_and_clear(tmp_path, rooms):
-    store = CheckpointStore(tmp_path)
-    for room in rooms:
-        store.save_room(SHARD.shard_id, room)
-    store.discard_shard(SHARD.shard_id)
-    assert store.load_rooms(SHARD.shard_id) == {}
-    for room in rooms:
-        store.save_room(SHARD.shard_id, room)
-    store.clear()
-    assert store.load_rooms(SHARD.shard_id) == {}
-    assert list(tmp_path.glob("shard*")) == []
+def test_run_shard_spills_every_room_but_the_last(tmp_path):
+    # No crash can follow a shard's last room, so only the rooms before
+    # it are worth spilling for a retry to resume.
+    spec = FleetSpec(num_rooms=3, switches_per_room=2, horizon=0.25)
+    shard = spec.shard_specs(1)[0]
+    run_shard(ShardJob(shard=shard, checkpoint_dir=str(tmp_path)))
+    assert sorted(CheckpointStore(tmp_path).load_rooms(0)) == [0, 1]

@@ -1,225 +1,164 @@
-"""Dispatch guardrails: admission pacing, breaker, retries, pickling."""
+"""Shard dispatch through run_fleet: pool breaks, hung workers, retries,
+queueing, and the checks made before any pool starts.
 
-import functools
-import os
+Faults come from seeded :class:`ProcessFaultPlan` schedules.  Each
+test picks the first seed whose schedule faults exactly the
+``(shard, attempt)`` pairs it needs, so the scenario is a pure function
+of the seed, whichever process runs it.
+"""
+
 import time
 
 import pytest
 
+from repro.faults.process import ProcessFaultPlan, shard_fault_decision
 from repro.fleet import (
-    FleetDispatcher,
     FleetConfigError,
     FleetSpec,
-    RoomSpec,
-    ShardSpec,
+    SupervisorPolicy,
+    run_fleet,
 )
-from repro.infra import CircuitBreaker, TokenBucket
 
-SHARDS = FleetSpec(num_rooms=4, switches_per_room=2).shard_specs(4)
-
-
-class ManualTime:
-    """Injectable clock + sleep pair: sleeping advances the clock."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.slept: list[float] = []
-
-    def clock(self) -> float:
-        return self.now
-
-    def sleep(self, seconds: float) -> None:
-        self.slept.append(seconds)
-        self.now += seconds
+#: Four one-room shards.
+SPEC = FleetSpec(num_rooms=4, switches_per_room=2)
+NUM_SHARDS = 4
 
 
-def _stub_runner(shard: ShardSpec) -> str:
-    return f"report-{shard.shard_id}"
+def _seed_where(plan: ProcessFaultPlan, fault: str,
+                fated: dict[int, set[int]]) -> int:
+    """First seed under which, over every shard's faultable attempts,
+    ``fault`` ("crash" or "straggle") hits exactly the attempts listed
+    in ``fated`` (shard id -> attempt indices)."""
+    attempts = range(plan.max_faulty_attempts + 1)
+    for seed in range(10_000):
+        hits = {
+            shard_id: {attempt for attempt in attempts
+                       if getattr(shard_fault_decision(
+                           plan, seed, shard_id, attempt), fault)}
+            for shard_id in range(NUM_SHARDS)
+        }
+        if all(hits[shard_id] == fated.get(shard_id, set())
+               for shard_id in hits):
+            return seed
+    raise AssertionError("no seed yields the requested fault schedule")
 
 
-def test_admission_paces_dispatch_without_real_sleeping():
-    time = ManualTime()
-    dispatcher = FleetDispatcher(
-        admission=TokenBucket(2.0, 1.0, name="test.fleet"),
-        clock=time.clock, sleep=time.sleep,
-    )
-    reports, failures = dispatcher.run_serial(SHARDS, _stub_runner)
-    assert reports == [f"report-{i}" for i in range(4)]
-    assert not failures
-    # burst of 1 admits the first shard at t=0; the remaining three wait
-    # out the 2/s refill — ~0.5 s apart on the injected clock.
-    assert time.slept  # pacing happened
-    assert time.now == pytest.approx(1.5, abs=0.1)
-
-
-def test_no_admission_means_no_pacing():
-    time = ManualTime()
-    dispatcher = FleetDispatcher(clock=time.clock, sleep=time.sleep)
-    reports, _ = dispatcher.run_serial(SHARDS, _stub_runner)
-    assert len(reports) == 4
-    assert time.slept == []
-
-
-def test_breaker_trips_on_poisoned_runner_and_fast_fails_the_rest():
-    time = ManualTime()
-    calls = []
-
-    def poisoned(shard):
-        calls.append(shard.shard_id)
-        raise RuntimeError("poison")
-
-    dispatcher = FleetDispatcher(
-        breaker=CircuitBreaker("test.pool", failure_threshold=2,
-                               recovery_timeout=60.0),
-        max_attempts=1, clock=time.clock, sleep=time.sleep,
-    )
-    reports, failures = dispatcher.run_serial(SHARDS, poisoned)
-    assert reports == []
-    assert len(failures) == 4
-    # two real executions trip the breaker; shards 2 and 3 never run
-    assert calls == [0, 1]
-    assert [f.fast_failed for f in failures] == [False, False, True, True]
-    assert all("breaker" in f.error for f in failures if f.fast_failed)
+def _run(backend, plan, fault, fated, workers=2, **policy):
+    seed = _seed_where(plan, fault, fated)
+    return run_fleet(SPEC, num_shards=NUM_SHARDS, backend=backend,
+                     workers=workers, faults=plan, seed=seed,
+                     policy=SupervisorPolicy(**policy))
 
 
 def test_transient_failure_gets_one_retry():
-    time = ManualTime()
-    attempts = {}
-
-    def flaky(shard):
-        attempts[shard.shard_id] = attempts.get(shard.shard_id, 0) + 1
-        if attempts[shard.shard_id] == 1 and shard.shard_id == 0:
-            raise OSError("worker died")
-        return f"report-{shard.shard_id}"
-
-    dispatcher = FleetDispatcher(max_attempts=2,
-                                 clock=time.clock, sleep=time.sleep)
-    reports, failures = dispatcher.run_serial(SHARDS, flaky)
-    assert len(reports) == 4
-    assert not failures
-    assert attempts[0] == 2  # failed once, retried, succeeded
+    plan = ProcessFaultPlan(crash_rate=0.5, max_faulty_attempts=0)
+    report = _run("serial", plan, "crash", {0: {0}}, max_attempts=2)
+    assert [shard.shard_id for shard in report.shards] == [0, 1, 2, 3]
+    assert not report.failures
+    # Shard 0 failed once, was retried, and its retry succeeded.
+    assert [shard.attempt for shard in report.shards] == [1, 0, 0, 0]
+    assert report.supervisor.crashes_detected == 1
 
 
 def test_exhausted_attempts_become_a_counted_failure():
-    time = ManualTime()
-
-    def always_down(shard):
-        if shard.shard_id == 1:
-            raise OSError("worker keeps dying")
-        return f"report-{shard.shard_id}"
-
-    dispatcher = FleetDispatcher(
-        breaker=CircuitBreaker("test.pool2", failure_threshold=10,
-                               recovery_timeout=60.0),
-        max_attempts=2, clock=time.clock, sleep=time.sleep,
-    )
-    reports, failures = dispatcher.run_serial(SHARDS, always_down)
-    assert len(reports) == 3
-    assert [f.shard_id for f in failures] == [1]
-    assert failures[0].attempts == 2
-    assert not failures[0].fast_failed
+    plan = ProcessFaultPlan(crash_rate=0.5, max_faulty_attempts=1)
+    report = _run("serial", plan, "crash", {1: {0, 1}}, max_attempts=2,
+                  quarantine_threshold=10)
+    assert [shard.shard_id for shard in report.shards] == [0, 2, 3]
+    assert [f.shard_id for f in report.failures] == [1]
+    assert report.failures[0].attempts == 2
+    assert not report.failures[0].quarantined
 
 
 def test_unpicklable_shard_is_rejected_before_the_pool():
-    shard = ShardSpec(shard_id=0, rooms=(
-        RoomSpec(room_id=0, num_switches=2,
-                 scene=lambda sim, channel, rng: None),
-    ))
-    dispatcher = FleetDispatcher()
+    spec = FleetSpec(num_rooms=1, switches_per_room=2,
+                     scene=lambda sim, channel, rng: None)
     with pytest.raises(FleetConfigError, match="shard_id=0"):
-        dispatcher.run((shard,), _stub_runner, workers=1)
+        run_fleet(spec, backend="process", workers=1)
 
 
 def test_constructor_validation():
     with pytest.raises(ValueError, match="max_attempts"):
-        FleetDispatcher(max_attempts=0)
-    dispatcher = FleetDispatcher()
+        SupervisorPolicy(max_attempts=0)
     with pytest.raises(ValueError, match="workers"):
-        dispatcher.run(SHARDS, _stub_runner, workers=0)
-    with pytest.raises(ValueError, match="shard_timeout"):
-        dispatcher.run(SHARDS, _stub_runner, workers=1, shard_timeout=0.0)
+        run_fleet(SPEC, num_shards=NUM_SHARDS, backend="process", workers=0)
+    with pytest.raises(ValueError, match="shard_deadline_s"):
+        SupervisorPolicy(shard_deadline_s=0.0)
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_must_be_positive(backend, workers):
+    with pytest.raises(FleetConfigError, match="workers must be >= 1"):
+        run_fleet(SPEC, num_shards=NUM_SHARDS, backend=backend,
+                  workers=workers)
 
 
 # ----------------------------------------------------------------------
-# process-level failure shapes (real pool, module-level workers)
+# process-level failure shapes (real pool)
 # ----------------------------------------------------------------------
 
-def _exit_once_runner(flag_dir: str, shard: ShardSpec) -> str:
-    """Kills its worker with ``os._exit`` the first time shard 0 runs —
-    the ungraceful death (OOM-kill, segfault) that breaks the whole
-    ``ProcessPoolExecutor``, not just one future."""
-    flag = os.path.join(flag_dir, f"died-{shard.shard_id}")
-    if shard.shard_id == 0 and not os.path.exists(flag):
-        open(flag, "w").close()
-        os._exit(11)
-    return f"report-{shard.shard_id}"
-
-
-def _hang_once_runner(flag_dir: str, shard: ShardSpec) -> str:
-    """Wedges (sleeps far past any test deadline) the first time
-    shard 0 runs — the hung-worker shape only a timeout can evict."""
-    flag = os.path.join(flag_dir, f"hung-{shard.shard_id}")
-    if shard.shard_id == 0 and not os.path.exists(flag):
-        open(flag, "w").close()
-        time.sleep(300.0)
-    return f"report-{shard.shard_id}"
-
-
-def test_broken_pool_becomes_counted_retry_and_one_rebuild(tmp_path):
+def test_broken_pool_becomes_counted_retry_and_one_rebuild():
     # Regression pin: a worker calling os._exit used to surface as an
     # uncaught BrokenProcessPool from wait(); now it is a failed
-    # attempt (retried) plus exactly one pool rebuild per break.
-    dispatcher = FleetDispatcher(
-        breaker=CircuitBreaker("test.pool3", failure_threshold=10,
-                               recovery_timeout=60.0),
-        max_attempts=2,
-    )
-    runner = functools.partial(_exit_once_runner, str(tmp_path))
-    reports, failures = dispatcher.run(SHARDS, runner, workers=2)
-    assert sorted(reports) == [f"report-{i}" for i in range(4)]
-    assert not failures
-    assert dispatcher._m_rebuilds.value >= 1
-
-
-def _exit_always_runner(shard: ShardSpec) -> str:
-    if shard.shard_id == 0:
-        os._exit(11)
-    return f"report-{shard.shard_id}"
+    # attempt (retried) plus a pool rebuild per break.
+    plan = ProcessFaultPlan(crash_rate=0.5, hard_crash=True,
+                            max_faulty_attempts=0)
+    report = _run("process", plan, "crash", {0: {0}}, max_attempts=2)
+    assert [shard.shard_id for shard in report.shards] == [0, 1, 2, 3]
+    assert not report.failures
+    assert report.supervisor.crashes_detected == 1
+    assert report.supervisor.pool_rebuilds >= 1
 
 
 def test_broken_pool_exhausting_attempts_is_a_counted_failure():
     # A shard whose *every* attempt kills its worker must end as a
-    # counted ShardFailure, never a crashed or hung run.
-    dispatcher = FleetDispatcher(
-        breaker=CircuitBreaker("test.pool4", failure_threshold=10,
-                               recovery_timeout=60.0),
-        max_attempts=2,
-    )
-    reports, failures = dispatcher.run(
-        SHARDS, _exit_always_runner, workers=2)
-    assert sorted(reports) == [f"report-{i}" for i in range(1, 4)]
-    assert [f.shard_id for f in failures] == [0]
-    assert failures[0].attempts == 2
-    assert "BrokenProcessPool" in failures[0].error or "broken" in \
-        failures[0].error.lower()
+    # counted ShardFailure, never a crashed or hung run — and the
+    # innocent shards that were in flight when the pool broke must not
+    # pay for it: a break is charged only to an attempt running alone.
+    plan = ProcessFaultPlan(crash_rate=0.5, hard_crash=True,
+                            max_faulty_attempts=1)
+    report = _run("process", plan, "crash", {0: {0, 1}}, max_attempts=2,
+                  quarantine_threshold=10)
+    assert [shard.shard_id for shard in report.shards] == [1, 2, 3]
+    assert [f.shard_id for f in report.failures] == [0]
+    assert report.failures[0].attempts == 2
+    assert "BrokenProcessPool" in report.failures[0].error or "broken" in \
+        report.failures[0].error.lower()
+    assert report.supervisor.crashes_detected == 2
+    assert all(shard.attempt == 0 for shard in report.shards)
 
 
-def test_hung_worker_is_timed_out_killed_and_retried(tmp_path):
-    # Without shard_timeout this run would block forever on wait();
-    # with it, the wedged worker is killed, counted, and the shard's
-    # retry (which does not hang) completes the run.
-    dispatcher = FleetDispatcher(
-        breaker=CircuitBreaker("test.pool5", failure_threshold=10,
-                               recovery_timeout=60.0),
-        max_attempts=2,
-    )
-    runner = functools.partial(_hang_once_runner, str(tmp_path))
+def test_hung_worker_is_timed_out_killed_and_retried():
+    # Without a deadline this run would block for the whole sleep; with
+    # it, the wedged worker is killed, counted, and the shard's retry
+    # (which does not hang) completes the run.
+    plan = ProcessFaultPlan(straggler_rate=0.5, straggler_delay_s=300.0,
+                            max_faulty_attempts=0)
     start = time.monotonic()
-    reports, failures = dispatcher.run(
-        SHARDS, runner, workers=2, shard_timeout=1.0)
+    report = _run("process", plan, "straggle", {0: {0}}, max_attempts=2,
+                  shard_deadline_s=1.0)
     wall = time.monotonic() - start
-    assert sorted(reports) == [f"report-{i}" for i in range(4)]
-    assert not failures
-    assert dispatcher._m_timed_out.value == 1
-    assert dispatcher._m_rebuilds.value >= 1
+    assert [shard.shard_id for shard in report.shards] == [0, 1, 2, 3]
+    assert not report.failures
+    assert report.supervisor.deadline_kills == 1
+    assert report.supervisor.pool_rebuilds >= 1
     assert wall < 60.0  # evicted the hang, did not sit out the sleep
+
+
+def test_pool_queue_wait_is_not_straggling():
+    # Eight straggling shards on two workers: each attempt lives about
+    # 0.3 s, well under the deadline, but the last ones would wait
+    # ~0.9 s in the pool queue.  Attempts are capped at the pool width
+    # and stamped when a slot takes them, so nobody is killed or
+    # retried.
+    spec = FleetSpec(num_rooms=8, switches_per_room=2, horizon=0.25)
+    plan = ProcessFaultPlan(straggler_rate=1.0, straggler_delay_s=0.3,
+                            max_faulty_attempts=0)
+    report = run_fleet(spec, num_shards=8, backend="process", workers=2,
+                       faults=plan,
+                       policy=SupervisorPolicy(shard_deadline_s=1.0))
+    assert not report.failures
+    assert report.supervisor.deadline_kills == 0
+    assert report.supervisor.pool_rebuilds == 0
+    assert report.supervisor.attempts_total == 8

@@ -1,8 +1,12 @@
 """The fleet driver: serial reference vs process pool, merged metrics."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from repro.fleet import FleetSpec, run_fleet
+from repro.fleet.supervisor import SPILL_ROOT
 
 #: Small fleet that still spans several rooms and shards.
 SPEC = FleetSpec(num_rooms=4, switches_per_room=6, horizon=0.5)
@@ -67,3 +71,10 @@ def test_unknown_backend_rejected():
 def test_rooms_property_restores_global_order(serial):
     fanned = run_fleet(SPEC, num_shards=4, backend="serial")
     assert [room.room_id for room in fanned.rooms] == [0, 1, 2, 3]
+
+
+def test_checkpoint_spill_is_removed_after_the_run():
+    root = Path(SPILL_ROOT or tempfile.gettempdir())
+    before = set(root.glob("repro-fleet-ckpt-*"))
+    run_fleet(SPEC, num_shards=2, backend="serial")
+    assert set(root.glob("repro-fleet-ckpt-*")) == before
