@@ -9,21 +9,30 @@ against that watch list and reports :class:`DetectionEvent`s.
 Two interchangeable backends exercise the ablation described in
 DESIGN.md §5:
 
-* ``"fft"`` — one windowed FFT per capture, peaks matched against the
-  watch list within a tolerance;
+* ``"fft"`` — one windowed FFT per capture, whose interpolated peaks
+  are the candidates;
 * ``"goertzel"`` — a Goertzel bank evaluated only at the watched
-  frequencies (cheaper for small watch lists).
+  frequencies (cheaper for small watch lists), whose above-floor bins
+  are the candidates.
+
+Either way the candidates, loudest first, go through one routine,
+``FrequencyDetector._events``: sidelobe rejection, the level floor,
+nearest-watched matching within tolerance, one event per watched
+frequency.  Single windows (:meth:`FrequencyDetector.detect`) and
+streams (:meth:`FrequencyDetector.detect_stream`) share that path.
 """
 
 from __future__ import annotations
 
+import math
 import time as _time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .. import obs
 from ..infra.cache import spectrum_fingerprint
-from .fft import Spectrum, SpectrumAnalyzer
-from .goertzel import GoertzelBank, GoertzelResult
+from .fft import SpectrumAnalyzer
+from .goertzel import GoertzelBank
 from .signal import AudioSignal
 
 #: The paper's empirical separability limit between adjacent tones.
@@ -127,34 +136,39 @@ class FrequencyDetector:
         threshold_db: float = DEFAULT_THRESHOLD_DB,
         min_level_db: float = DEFAULT_MIN_LEVEL_DB,
         backend: str = "fft",
-        analyzer: SpectrumAnalyzer | None = None,
         spectrum_sink=None,
         spectra_cache=None,
     ) -> None:
         if not watched_frequencies:
             raise ValueError("watched_frequencies must not be empty")
-        if tolerance_hz <= 0:
+        watched = [float(f) for f in watched_frequencies]
+        if not all(math.isfinite(f) and f >= 0 for f in watched):
+            raise ValueError(
+                "watched_frequencies must be finite and non-negative"
+            )
+        if not tolerance_hz > 0:
             raise ValueError("tolerance_hz must be positive")
+        for name, level in (("threshold_db", threshold_db),
+                            ("min_level_db", min_level_db)):
+            if math.isnan(level):
+                raise ValueError(f"{name} must not be NaN")
         if backend not in ("fft", "goertzel"):
             raise ValueError(f"unknown backend {backend!r}")
-        self.watched = sorted(set(float(f) for f in watched_frequencies))
+        self.watched = sorted(set(watched))
         self.tolerance_hz = tolerance_hz
         self.threshold_db = threshold_db
         self.min_level_db = min_level_db
         self.backend = backend
-        self._analyzer = analyzer or SpectrumAnalyzer(zero_pad_factor=2)
+        self._analyzer = SpectrumAnalyzer(zero_pad_factor=2)
         self.spectrum_sink = spectrum_sink
         self.spectra_cache = spectra_cache
-        if spectrum_sink is not None and backend != "fft":
-            raise ValueError(
-                "spectrum_sink requires the fft backend (the Goertzel "
-                "bank computes no full spectrum)"
-            )
-        if spectra_cache is not None and backend != "fft":
-            raise ValueError(
-                "spectra_cache requires the fft backend (the Goertzel "
-                "bank computes no full spectrum)"
-            )
+        for name, hook in (("spectrum_sink", spectrum_sink),
+                           ("spectra_cache", spectra_cache)):
+            if hook is not None and backend != "fft":
+                raise ValueError(
+                    f"{name} requires the fft backend (the Goertzel "
+                    "bank computes no full spectrum)"
+                )
         self._goertzel = GoertzelBank(self.watched) if backend == "goertzel" else None
         # Observability (repro.obs).  Detectors are rebuilt whenever the
         # watch list changes, so the instruments are get-or-create on the
@@ -174,14 +188,9 @@ class FrequencyDetector:
         if len(window) == 0:
             return []
         if self._obs is None:
-            if self.backend == "goertzel":
-                return self._detect_goertzel(window, time)
-            return self._detect_fft(window, time)
+            return self._events(self._candidates(window, time), time)
         wall_start = _time.perf_counter()
-        if self.backend == "goertzel":
-            events = self._detect_goertzel(window, time)
-        else:
-            events = self._detect_fft(window, time)
+        events = self._events(self._candidates(window, time), time)
         self._m_detect_ms.observe((_time.perf_counter() - wall_start) * 1e3)
         self._m_windows.inc()
         self._m_events.inc(len(events))
@@ -194,55 +203,25 @@ class FrequencyDetector:
         hop_duration: float | None = None,
         start_time: float = 0.0,
     ) -> list[DetectionEvent]:
-        """Detect over every analysis frame of a longer capture.
-
-        The streaming counterpart of framing ``signal`` yourself and
-        calling :meth:`detect` per frame — same events, same order —
-        but all frames are analyzed in one batch: a strided frame
-        matrix feeds either one 2-D rfft (FFT backend) or one Goertzel
-        matmul plus one floor-probe matmul (Goertzel backend), and the
-        taper/phasor caches are shared across the whole stream.  Event
-        times are ``start_time`` plus each frame's offset; the trailing
-        partial frame is dropped, like :meth:`AudioSignal.frames`.
+        """:meth:`detect` over every :meth:`AudioSignal.frames` frame of
+        a longer capture, in frame order, so each frame feeds the sink,
+        cache and metrics like any window.  Event times are
+        ``start_time`` plus the frame offset; the partial tail is dropped.
         """
-        times, frames = signal.frame_matrix(frame_duration, hop_duration)
-        if len(times) == 0 or frames.shape[1] == 0:
-            return []
-        events: list[DetectionEvent] = []
-        if self.backend == "goertzel":
-            assert self._goertzel is not None
-            magnitudes = self._goertzel.analyze_block(frames, signal.sample_rate)
-            floors = self._goertzel.floor_block(frames, signal.sample_rate)
-            watched = self._goertzel.frequencies
-            for index, offset in enumerate(times):
-                threshold = (
-                    max(float(floors[index]), 1e-12)
-                    * 10.0 ** (self.threshold_db / 20.0)
-                )
-                hits = [
-                    GoertzelResult(freq, float(mag))
-                    for freq, mag in zip(watched, magnitudes[index])
-                    if mag >= threshold
-                ]
-                events.extend(
-                    self._events_from_hits(hits, start_time + float(offset))
-                )
-        else:
-            frequencies, magnitudes = self._analyzer.analyze_block(
-                frames, signal.sample_rate
-            )
-            window_duration = frames.shape[1] / signal.sample_rate
-            for index, offset in enumerate(times):
-                spectrum = Spectrum(
-                    frequencies, magnitudes[index], signal.sample_rate,
-                    window_duration,
-                )
-                events.extend(
-                    self._events_from_spectrum(spectrum, start_time + float(offset))
-                )
-        return events
+        return [
+            event
+            for offset, frame in signal.frames(frame_duration, hop_duration)
+            for event in self.detect(frame, start_time + offset)
+        ]
 
-    def _detect_fft(self, window: AudioSignal, time: float) -> list[DetectionEvent]:
+    def _candidates(self, window: AudioSignal, time: float) -> list:
+        """Spectral candidates of one window, loudest first: the FFT
+        backend's ``SpectralPeak`` list, or the Goertzel bank's
+        ``GoertzelResult`` list of watched bins above the window's floor.
+        """
+        if self._goertzel is not None:
+            hits = self._goertzel.detect(window, self.threshold_db)
+            return sorted(hits, key=lambda h: h.magnitude, reverse=True)
         if self.spectra_cache is not None:
             key = spectrum_fingerprint(window, time, self._analyzer)
             spectrum = self.spectra_cache.get(key, time)
@@ -253,30 +232,34 @@ class FrequencyDetector:
             spectrum = self._analyzer.analyze(window)
         if self.spectrum_sink is not None:
             self.spectrum_sink(spectrum, time)
-        return self._events_from_spectrum(spectrum, time)
+        return self._analyzer.find_peaks(spectrum, self.threshold_db)
 
-    def _events_from_spectrum(
-        self, spectrum: Spectrum, time: float
-    ) -> list[DetectionEvent]:
-        peaks = self._analyzer.find_peaks(spectrum, self.threshold_db)
-        peaks = self._reject_sidelobes(peaks)
+    def _events(self, candidates: list, time: float) -> list[DetectionEvent]:
+        """The one place candidates (loudest first) become events.
+
+        Sidelobes are rejected, then the level floor applies (either
+        order gives the same survivors: a candidate only shadows one at
+        least ``SIDELOBE_REJECTION_DB`` quieter).  Each survivor claims
+        its nearest watched frequency within tolerance; the loudest
+        claim wins.  Events come back sorted by frequency.
+        """
         events: dict[float, DetectionEvent] = {}
-        for peak in peaks:
-            if peak.level_db < self.min_level_db:
+        for peak in self._reject_sidelobes(candidates):
+            level_db = peak.level_db
+            if level_db < self.min_level_db:
                 continue
             watched = self._match(peak.frequency)
-            if watched is None:
-                continue
-            event = DetectionEvent(watched, peak.frequency, peak.level_db, time)
-            existing = events.get(watched)
-            if existing is None or event.level_db > existing.level_db:
-                events[watched] = event
+            if watched is not None and watched not in events:
+                events[watched] = DetectionEvent(
+                    watched, peak.frequency, level_db, time
+                )
         return sorted(events.values(), key=lambda e: e.frequency)
 
     @staticmethod
     def _reject_sidelobes(peaks: list) -> list:
         """Drop peaks that are plausibly window sidelobes of a stronger
-        nearby peak (see ``SIDELOBE_REJECTION_DB``)."""
+        nearby peak (see ``SIDELOBE_REJECTION_DB``), including a loud
+        neighbour's leakage *at* a watched Goertzel bin."""
         kept = []
         for peak in peaks:  # peaks arrive sorted by descending magnitude
             shadowed = any(
@@ -288,39 +271,14 @@ class FrequencyDetector:
                 kept.append(peak)
         return kept
 
-    def _detect_goertzel(
-        self, window: AudioSignal, time: float
-    ) -> list[DetectionEvent]:
-        assert self._goertzel is not None
-        hits = self._goertzel.detect(window, self.threshold_db)
-        return self._events_from_hits(hits, time)
-
-    def _events_from_hits(
-        self, hits: list[GoertzelResult], time: float
-    ) -> list[DetectionEvent]:
-        # The bank only evaluates watched frequencies, so sidelobe
-        # leakage from a loud neighbour shows up *at* a watched bin;
-        # apply the same relative rejection by level.
-        hits = sorted(hits, key=lambda h: h.magnitude, reverse=True)
-        kept = []
-        for hit in hits:
-            if hit.level_db < self.min_level_db:
-                continue
-            shadowed = any(
-                abs(strong.frequency - hit.frequency) <= SIDELOBE_RADIUS_HZ
-                and strong.level_db - hit.level_db >= SIDELOBE_REJECTION_DB
-                for strong in kept
-            )
-            if not shadowed:
-                kept.append(hit)
-        return [
-            DetectionEvent(hit.frequency, hit.frequency, hit.level_db, time)
-            for hit in sorted(kept, key=lambda h: h.frequency)
-        ]
-
     def _match(self, measured: float) -> float | None:
-        """The watched frequency nearest ``measured``, if within tolerance."""
-        best = min(self.watched, key=lambda f: abs(f - measured))
+        """The watched frequency nearest ``measured``, if within
+        tolerance; on an exact tie the lower frequency wins."""
+        # Only the two neighbours of the insertion point can be nearest;
+        # min() keeps the lower one on an exact tie.
+        index = bisect_left(self.watched, measured)
+        neighbours = self.watched[max(index - 1, 0):index + 1]
+        best = min(neighbours, key=lambda f: abs(f - measured))
         if abs(best - measured) <= self.tolerance_hz:
             return best
         return None

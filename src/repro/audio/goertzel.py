@@ -305,11 +305,3 @@ class GoertzelBank:
                 probes.append(float(fallback))
         self._probe_freqs[sample_rate] = np.array(probes)
         return probes
-
-    def _estimate_floor(self, signal: AudioSignal) -> float:
-        """Median magnitude at off-tone probe frequencies."""
-        if len(signal) == 0:
-            return 0.0
-        return float(
-            self.floor_block(signal.samples[np.newaxis, :], signal.sample_rate)[0]
-        )

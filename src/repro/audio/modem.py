@@ -182,48 +182,54 @@ class FskReceiver:
         Raises :class:`ModemError` if no preamble is found, a symbol is
         unreadable, or the checksum fails.
         """
-        config = self.config
-        preamble_time = self._find_preamble(capture, capture_start)
+        preamble_time = self.find_preamble(capture, capture_start)
         if preamble_time is None:
             raise ModemError("no preamble found")
-
-        # Sample each symbol slot at its centre.
-        symbols: list[int] = []
-        slot = 1
-        per_byte = 8 // config.bits_per_symbol
-
-        def read_slot(slot_index: int) -> int:
-            centre = (preamble_time + slot_index * config.symbol_period
-                      + config.symbol_duration / 2.0)
-            lo = centre - config.symbol_duration / 2.2
-            hi = centre + config.symbol_duration / 2.2
-            window = capture.slice_time(lo - capture_start, hi - capture_start)
-            events = self._detector.detect(window)
-            events = [e for e in events
-                      if e.frequency != config.preamble_frequency]
-            if not events:
-                raise ModemError(f"unreadable symbol in slot {slot_index}")
-            strongest = max(events, key=lambda e: e.level_db)
-            return config.frequencies.index(strongest.frequency)
-
-        # Length byte first.
-        for _ in range(per_byte):
-            symbols.append(read_slot(slot))
-            slot += 1
-        length = _symbols_to_bytes(symbols, config.bits_per_symbol)[0]
-
-        remaining = (length + 1) * per_byte  # payload + checksum
-        for _ in range(remaining):
-            symbols.append(read_slot(slot))
-            slot += 1
-
-        frame = _symbols_to_bytes(symbols, config.bits_per_symbol)
+        length = self.read_byte(capture, capture_start, preamble_time, 0)
+        frame = bytes([length]) + bytes(
+            self.read_byte(capture, capture_start, preamble_time, index)
+            for index in range(1, length + 2)  # payload + checksum
+        )
         payload, checksum = frame[1:-1], frame[-1]
         if _xor(frame[:-1]) != checksum:
             raise ModemError("checksum mismatch")
         return payload
 
-    def _find_preamble(
+    def read_slot(
+        self, capture: AudioSignal, capture_start: float,
+        preamble_time: float, slot_index: int,
+    ) -> int:
+        """The symbol in slot ``slot_index`` after the preamble (slot 0),
+        sampled at the slot's centre; raises :class:`ModemError` when no
+        alphabet tone is heard there."""
+        config = self.config
+        centre = (preamble_time + slot_index * config.symbol_period
+                  + config.symbol_duration / 2.0)
+        lo = centre - config.symbol_duration / 2.2
+        hi = centre + config.symbol_duration / 2.2
+        window = capture.slice_time(lo - capture_start, hi - capture_start)
+        events = [e for e in self._detector.detect(window)
+                  if e.frequency != config.preamble_frequency]
+        if not events:
+            raise ModemError(f"unreadable symbol in slot {slot_index}")
+        strongest = max(events, key=lambda e: e.level_db)
+        return config.frequencies.index(strongest.frequency)
+
+    def read_byte(
+        self, capture: AudioSignal, capture_start: float,
+        preamble_time: float, index: int,
+    ) -> int:
+        """Frame byte ``index`` after the preamble (0 is the length
+        byte), packed from its symbol slots."""
+        per_byte = 8 // self.config.bits_per_symbol
+        first = 1 + index * per_byte
+        symbols = [
+            self.read_slot(capture, capture_start, preamble_time, slot)
+            for slot in range(first, first + per_byte)
+        ]
+        return _symbols_to_bytes(symbols, self.config.bits_per_symbol)[0]
+
+    def find_preamble(
         self, capture: AudioSignal, capture_start: float
     ) -> float | None:
         """Scan for the preamble tone; returns its absolute start time."""

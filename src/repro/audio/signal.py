@@ -196,7 +196,11 @@ class AudioSignal:
         if hop <= 0:
             raise ValueError("hop_duration must be positive")
         frame_len = int(round(frame_duration * self.sample_rate))
-        hop_len = int(round(hop * self.sample_rate))
+        # The same clamps as frame_matrix: a hop that rounds to zero
+        # samples still advances, and a sub-sample frame yields nothing.
+        hop_len = max(int(round(hop * self.sample_rate)), 1)
+        if frame_len < 1:
+            return
         start = 0
         while start + frame_len <= len(self.samples):
             yield (

@@ -93,7 +93,7 @@ class AcousticMessageService:
         if now - self._scan_from < self.config.symbol_duration * 2:
             return
         capture = self.microphone.record(self.channel, self._scan_from, now)
-        preamble = self._receiver._find_preamble(capture, self._scan_from)
+        preamble = self._receiver.find_preamble(capture, self._scan_from)
         if preamble is None:
             # Keep a one-symbol overlap so a preamble straddling the
             # frontier is still found next poll.
@@ -115,41 +115,15 @@ class AcousticMessageService:
         capture = self.microphone.record(
             self.channel, preamble, self.sim.now
         )
-        length = self._read_length(capture, preamble)
-        if length is None:
+        try:
+            length = self._receiver.read_byte(capture, preamble, preamble, 0)
+        except ValueError:  # ModemError: an unreadable length byte
             self._abandon(preamble)
             return
         frame_end = preamble + self.config.frame_airtime(length) + \
             self.config.symbol_duration
         self.sim.schedule_at(max(frame_end, self.sim.now),
                              self._decode_frame, preamble, frame_end)
-
-    def _read_length(self, capture, preamble: float) -> int | None:
-        """Decode just the length byte (first symbols after preamble)."""
-        config = self.config
-        per_byte = 8 // config.bits_per_symbol
-        try:
-            symbols = []
-            for slot in range(1, 1 + per_byte):
-                centre = (preamble + slot * config.symbol_period
-                          + config.symbol_duration / 2.0)
-                window = capture.slice_time(
-                    centre - config.symbol_duration / 2.2 - preamble,
-                    centre + config.symbol_duration / 2.2 - preamble,
-                )
-                events = self._receiver._detector.detect(window)
-                events = [e for e in events
-                          if e.frequency != config.preamble_frequency]
-                if not events:
-                    return None
-                strongest = max(events, key=lambda e: e.level_db)
-                symbols.append(config.frequencies.index(strongest.frequency))
-            value = 0
-            for symbol in symbols:
-                value = (value << config.bits_per_symbol) | symbol
-            return value
-        except (ValueError, ModemError):
-            return None
 
     def _decode_frame(self, preamble: float, frame_end: float) -> None:
         capture = self.microphone.record(

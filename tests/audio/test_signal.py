@@ -1,5 +1,6 @@
 """Unit tests for the AudioSignal container and dB calibration."""
 
+import itertools
 import math
 
 import numpy as np
@@ -162,6 +163,20 @@ class TestFrames:
         signal = AudioSignal(np.zeros(16000))
         frames = list(signal.frames(0.5, hop_duration=0.25))
         assert len(frames) == 3
+
+    def test_sub_sample_hop_matches_frame_matrix(self):
+        """A hop that rounds to 0 samples advances by one sample, as in
+        frame_matrix, instead of yielding start 0.0 forever."""
+        signal = AudioSignal(np.zeros(1600))
+        starts = [start for start, _frame in
+                  itertools.islice(signal.frames(0.01, 1e-6), 5000)]
+        times, _frames = signal.frame_matrix(0.01, 1e-6)
+        assert len(starts) == 1600 - 160 + 1
+        assert starts == list(times)
+
+    def test_sub_sample_frame_yields_nothing(self):
+        signal = AudioSignal(np.zeros(100))
+        assert list(itertools.islice(signal.frames(1e-6), 5)) == []
 
     def test_invalid_frame_params(self):
         signal = AudioSignal(np.zeros(100))

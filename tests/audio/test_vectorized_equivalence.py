@@ -77,14 +77,16 @@ class TestGoertzelBankEquivalence:
             reference = np.array([r.magnitude for r in bank.analyze(frame)])
             np.testing.assert_allclose(block[index], reference, atol=TOLERANCE)
 
-    def test_floor_block_matches_estimate_floor(self, busy_signal):
+    def test_floor_block_matches_scalar_probe_median(self, busy_signal):
+        """floor_block == median of scalar goertzel_magnitude probes."""
         bank = GoertzelBank([500.0, 940.0, 1500.0])
+        rate = busy_signal.sample_rate
+        probes = bank.floor_probe_frequencies(rate)
         times, frames = busy_signal.frame_matrix(0.05)
-        floors = bank.floor_block(frames, busy_signal.sample_rate)
+        floors = bank.floor_block(frames, rate)
         for index, (_start, frame) in enumerate(busy_signal.frames(0.05)):
-            assert floors[index] == pytest.approx(
-                bank._estimate_floor(frame), abs=TOLERANCE
-            )
+            reference = np.median([goertzel_magnitude(frame, p) for p in probes])
+            assert floors[index] == pytest.approx(reference, abs=TOLERANCE)
 
 
 class TestSpectrogramEquivalence:
