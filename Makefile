@@ -13,13 +13,13 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Before/after timings of the vectorized listening hot path (Goertzel
-# bank, batched spectrogram) and the vectorized acoustic render path
-# (interval-indexed channel, 50/200-emitter sweeps).  Results are
-# appended as JSON to .benchmarks/micro_perf.json (override with
-# MICRO_BENCH_JSON=path); the channel render timings are additionally
-# written to .benchmarks/BENCH_channel.json (override with
-# BENCH_CHANNEL_JSON=path).
+# Paired A/B perf gates: the vectorized listening and render paths
+# against their scalar references (speedups), and the idle obs, fault,
+# sentinel, infra and fleet-supervisor hooks against the bare path
+# (overheads).  Every gate reads the median of per-pair time ratios
+# from warmed, order-alternating (a, b) pairs.  Results are appended
+# as JSON to .benchmarks/micro_perf.json (override with
+# MICRO_BENCH_JSON=path).
 bench-micro:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest \
 		benchmarks/test_micro_performance.py -m perf -q -s

@@ -580,25 +580,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list", help="list runnable experiments")
 
-    run_parser = subparsers.add_parser("run", help="run experiments")
+    # Experiment options shared by `run` and `obs`.
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--song", action="store_true",
+                         help="add the pop-song interferer (fig4*)")
+    options.add_argument("--noise", action="store_true",
+                         help="add background noise (fig2a)")
+    options.add_argument("--switches", type=int, default=5,
+                         help="switch count for fig2a")
+    options.add_argument("--samples", type=int, default=1000,
+                         help="sample count for fig2b")
+    options.add_argument("--smoke", action="store_true",
+                         help="shrink sweeps for CI (xext12-xext17)")
+    options.add_argument(
+        "--workload", choices=sorted(_workload_mix_names()), default=None,
+        help="drive fig4*/fig5ab/xbase with a named seeded workload mix",
+    )
+
+    run_parser = subparsers.add_parser("run", parents=[options],
+                                       help="run experiments")
     run_parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS) + ["all"],
         help="which figure/study to regenerate",
-    )
-    run_parser.add_argument("--song", action="store_true",
-                            help="add the pop-song interferer (fig4*)")
-    run_parser.add_argument("--noise", action="store_true",
-                            help="add background noise (fig2a)")
-    run_parser.add_argument("--switches", type=int, default=5,
-                            help="switch count for fig2a")
-    run_parser.add_argument("--samples", type=int, default=1000,
-                            help="sample count for fig2b")
-    run_parser.add_argument("--smoke", action="store_true",
-                            help="shrink sweeps for CI (xext12-xext16)")
-    run_parser.add_argument(
-        "--workload", choices=sorted(_workload_mix_names()), default=None,
-        help="drive fig4*/fig5ab/xbase with a named seeded workload mix",
     )
 
     render_parser = subparsers.add_parser(
@@ -609,26 +613,13 @@ def build_parser() -> argparse.ArgumentParser:
     render_parser.add_argument("output", help="output .wav path")
 
     obs_parser = subparsers.add_parser(
-        "obs", help="run one experiment under the observability layer"
+        "obs", parents=[options],
+        help="run one experiment under the observability layer",
     )
     obs_parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS),
         help="which figure/study to run instrumented",
-    )
-    obs_parser.add_argument("--song", action="store_true",
-                            help="add the pop-song interferer (fig4*)")
-    obs_parser.add_argument("--noise", action="store_true",
-                            help="add background noise (fig2a)")
-    obs_parser.add_argument("--switches", type=int, default=5,
-                            help="switch count for fig2a")
-    obs_parser.add_argument("--samples", type=int, default=1000,
-                            help="sample count for fig2b")
-    obs_parser.add_argument("--smoke", action="store_true",
-                            help="shrink sweeps for CI (xext12-xext16)")
-    obs_parser.add_argument(
-        "--workload", choices=sorted(_workload_mix_names()), default=None,
-        help="drive fig4*/fig5ab/xbase with a named seeded workload mix",
     )
     return parser
 

@@ -111,11 +111,13 @@ def fleet_experiment(
                          seed=seed, horizon=1.0)
         shard_counts = shard_counts or (1, 2, 4, 8)
 
-    # Serial reference, twice at different shard counts: one wall-clock
-    # baseline, one determinism + shard-invariance witness.
-    serial = run_fleet(spec, num_shards=1, backend="serial")
+    # Serial reference, twice at different shard counts: one
+    # determinism + shard-invariance witness, then the wall-clock
+    # baseline.  The witness runs first so the baseline is not the
+    # process's cold first run, which would inflate every speedup.
     witness = run_fleet(spec, num_shards=min(2, spec.num_rooms),
                         backend="serial")
+    serial = run_fleet(spec, num_shards=1, backend="serial")
     reference = serial.identity_signature()
     determinism_ok = reference == witness.identity_signature()
 

@@ -20,6 +20,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_run_and_obs_share_the_experiment_options(self):
+        flags = ["--song", "--noise", "--switches", "3", "--samples", "50",
+                 "--smoke", "--workload", "mice"]
+        parsed = {
+            verb: vars(build_parser().parse_args([verb, "fig2a", *flags]))
+            for verb in ("run", "obs")
+        }
+        assert parsed["run"] == {**parsed["obs"], "command": "run"}
+        assert parsed["obs"]["switches"] == 3
+        assert parsed["obs"]["workload"] == "mice"
+
 
 class TestRun:
     def test_run_fig2a(self, capsys):

@@ -54,3 +54,21 @@ def test_bench_artifact_schema(result, tmp_path):
     for key in ("num_shards", "backend", "workers", "wall_s", "speedup",
                 "real_time_factor", "identical", "failures"):
         assert key in point, key
+
+
+def test_the_serial_baseline_is_not_the_cold_first_run(monkeypatch):
+    """Every speedup divides by the 1-shard serial wall time, so that
+    run must come after the determinism witness, not first and cold."""
+    from repro.experiments import xext15
+
+    calls = []
+    real_run_fleet = xext15.run_fleet
+
+    def recording_run_fleet(spec, **kwargs):
+        calls.append((kwargs["num_shards"], kwargs["backend"]))
+        return real_run_fleet(spec, **kwargs)
+
+    monkeypatch.setattr(xext15, "run_fleet", recording_run_fleet)
+    # More shards than the smoke fleet's 6 rooms: no process points.
+    xext15.fleet_experiment(smoke=True, shard_counts=(7,))
+    assert calls == [(2, "serial"), (1, "serial")]
