@@ -57,8 +57,15 @@ obs:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro obs \
 		$(or $(FIG),fig5ab)
 
+# Paper-figure and extension checks, printing every result's tables
+# through the CLI's formatter.  Writes the committed figures_output.txt
+# (shown in full if a check fails).
 figures:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest \
+		benchmarks/ --ignore=benchmarks/test_micro_performance.py \
+		--benchmark-disable -s > figures_output.txt \
+		|| { cat figures_output.txt; exit 1; }
+	@echo "wrote figures_output.txt"
 
 examples:
 	@for script in examples/*.py; do \

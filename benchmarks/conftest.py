@@ -1,19 +1,13 @@
-"""Shared reporting helpers for the figure-regeneration benchmarks.
+"""Shared fixture for the figure-regeneration benchmarks.
 
 Each benchmark runs one experiment (via ``benchmark.pedantic`` so the
 whole suite works under ``pytest --benchmark-only``), prints the
-series/rows the corresponding paper figure reports, and asserts the
-*shape* documented in DESIGN.md/EXPERIMENTS.md.
+result's tables (``repro.experiments.report``, the same formatter the
+CLI uses), and asserts the *shape* documented in
+DESIGN.md/EXPERIMENTS.md.
 """
 
 import pytest
-
-
-def report(title: str, rows: list[tuple]) -> None:
-    """Print a labelled table that survives pytest's capture with -s."""
-    print(f"\n=== {title} ===")
-    for row in rows:
-        print("  " + " | ".join(str(cell) for cell in row))
 
 
 @pytest.fixture

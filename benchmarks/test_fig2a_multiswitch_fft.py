@@ -6,22 +6,13 @@ five switches attributed, at 20 Hz guard spacing, with and without
 noise.
 """
 
-from conftest import report
-
 from repro.experiments import multiswitch_fft
+from repro.experiments.report import print_tables
 
 
 def test_fig2a_five_switches_identified(run_once):
     result = run_once(multiswitch_fft, num_switches=5)
-    rows = [("switch", "played Hz", "measured Hz", "level dB")]
-    for name in sorted(result.played):
-        rows.append((
-            name,
-            f"{result.played[name]:.0f}",
-            f"{result.detected.get(name, float('nan')):.1f}",
-            f"{result.levels_db.get(name, float('nan')):.1f}",
-        ))
-    report("Fig 2a: simultaneous switch identification", rows)
+    print_tables(*result.tables())
     assert result.all_identified
     for name, played in result.played.items():
         assert abs(result.detected[name] - played) < 5.0
@@ -32,9 +23,7 @@ def test_fig2a_with_background_noise(run_once):
     noise.  In both cases, we could accurately distinguish the sounds
     from switches.'"""
     result = run_once(multiswitch_fft, num_switches=5, noise_level_db=55.0)
-    report("Fig 2a (noisy): identification", [
-        ("identified", sorted(result.detected)),
-    ])
+    print_tables(*result.tables())
     assert result.all_identified
 
 

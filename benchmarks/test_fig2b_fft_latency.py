@@ -6,21 +6,13 @@ commodity hardware (our absolute numbers come from this machine and
 are recorded in EXPERIMENTS.md).
 """
 
-from conftest import report
-
 from repro.experiments import fft_latency_cdf
+from repro.experiments.report import print_tables
 
 
 def test_fig2b_processing_time_cdf(run_once):
     result = run_once(fft_latency_cdf, num_samples=1000)
-    rows = [("percentile", "ms")]
-    for quantile, value in result.cdf_points():
-        rows.append((f"p{quantile}", f"{value:.4f}"))
-    report(
-        f"Fig 2b: FFT time CDF for {result.window_duration_ms:.0f} ms windows"
-        " (paper: p90 <= 0.35 ms)",
-        rows,
-    )
+    print_tables(*result.tables())
     # Paper's headline: 90% of samples <= 0.35 ms.  Allow headroom for
     # slow CI machines while still asserting sub-millisecond shape.
     assert result.percentile_ms(90) < 1.0

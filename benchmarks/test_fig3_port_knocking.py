@@ -8,20 +8,14 @@ afterwards; the wrong order never opens.
 """
 
 import numpy as np
-from conftest import report
 
 from repro.experiments import port_knocking_experiment
+from repro.experiments.report import Table, print_tables
 
 
 def test_fig3_bytes_sent_received(run_once):
     result = run_once(port_knocking_experiment)
-    rows = [("t (s)", "sent (kB)", "recvd (kB)")]
-    for time, sent in zip(result.sent_bytes.times[::4],
-                          result.sent_bytes.values[::4]):
-        received = result.received_bytes.value_at(time)
-        rows.append((f"{time:.1f}", f"{sent / 1000:.0f}",
-                     f"{received / 1000:.0f}"))
-    report("Fig 3a: bytes sent / received", rows)
+    print_tables(*result.tables())
 
     assert result.opened
     # Nothing delivered before the port opened.
@@ -46,15 +40,13 @@ def test_fig3b_knock_spectrogram_shows_three_tones(run_once):
     active = frame_peak > threshold
     bursts = int(np.sum(np.diff(active.astype(int)) == 1))
     bursts += int(active[0])
-    report("Fig 3b: knock bursts on the spectrogram", [("bursts", bursts)])
+    print_tables(Table("Fig 3b: knock bursts on the spectrogram",
+                       [("bursts", bursts)]))
     assert bursts == 3
 
 
 def test_fig3_wrong_order_stays_closed(run_once):
     result = run_once(port_knocking_experiment, correct_order=False)
-    report("Fig 3 control: wrong knock order", [
-        ("opened", result.opened),
-        ("received bytes", result.received_bytes.final()),
-    ])
+    print_tables(*result.tables())
     assert not result.opened
     assert result.received_bytes.final() == 0.0

@@ -6,27 +6,13 @@ Shape to hold: the heavy flow's bucket rings above the per-interval
 threshold in both conditions; mouse buckets never do.
 """
 
-from conftest import report
-
 from repro.experiments import heavy_hitter_experiment
-
-
-def _report(result, title):
-    rows = [("interval end (s)", "heavy-bucket count")]
-    for time, count in zip(result.per_interval_heavy_counts.times,
-                           result.per_interval_heavy_counts.values):
-        rows.append((f"{time:.0f}", int(count)))
-    rows.append(("heavy flow", str(result.heavy_flow)))
-    rows.append(("bucket frequency", f"{result.heavy_frequency:.0f} Hz"))
-    rows.append(("detected", result.heavy_detected))
-    rows.append(("false-positive buckets",
-                 sorted(result.false_positive_frequencies)))
-    report(title, rows)
+from repro.experiments.report import Table, print_tables
 
 
 def test_fig4a_clean(run_once):
     result = run_once(heavy_hitter_experiment, with_song=False)
-    _report(result, "Fig 4a: heavy hitter, no background noise")
+    print_tables(*result.tables())
     assert result.heavy_detected
     assert not result.false_positive_frequencies
     # Detection latency: flagged within the first two intervals.
@@ -35,7 +21,7 @@ def test_fig4a_clean(run_once):
 
 def test_fig4b_with_song(run_once):
     result = run_once(heavy_hitter_experiment, with_song=True)
-    _report(result, "Fig 4b: heavy hitter, pop song playing")
+    print_tables(*result.tables())
     assert result.heavy_detected
     assert not result.false_positive_frequencies
 
@@ -68,8 +54,8 @@ def test_fig4ab_multiple_heavies(run_once):
     mix, mapper, app = run_once(run)
     flagged = app.heavy_frequencies()
     expected = {mapper.frequency_of(flow) for flow in mix.heavy_flows}
-    report("Fig 4a/b extension: two heavy flows", [
+    print_tables(Table("Fig 4a/b extension: two heavy flows", [
         ("expected buckets", sorted(expected)),
         ("flagged buckets", sorted(flagged)),
-    ])
+    ]))
     assert expected <= flagged

@@ -8,27 +8,14 @@ the song.
 """
 
 import numpy as np
-from conftest import report
 
 from repro.experiments import port_scan_experiment
-
-
-def _summarize(result, title):
-    track = result.dominant_track_hz
-    rows = [
-        ("scan detected", result.scan_detected),
-        ("distinct ports in alert",
-         result.alerts[0].distinct_ports if result.alerts else 0),
-        ("ports heard (ordered)", result.ports_heard[:10]),
-        ("dominant track start/end Hz",
-         f"{track[0]:.0f} -> {track[-1]:.0f}" if len(track) else "n/a"),
-    ]
-    report(title, rows)
+from repro.experiments.report import Table, print_tables
 
 
 def test_fig4c_clean(run_once):
     result = run_once(port_scan_experiment, with_song=False)
-    _summarize(result, "Fig 4c: port scan, no background noise")
+    print_tables(*result.tables())
     assert result.scan_detected
     assert result.ports_heard == sorted(result.ports_heard)
     assert len(result.ports_heard) >= 18  # near-total port coverage
@@ -44,17 +31,17 @@ def test_fig4c_spectrogram_line_rises(run_once):
     track = result.dominant_track_hz[active]
     rises = np.sum(np.diff(track) > 0)
     falls = np.sum(np.diff(track) < 0)
-    report("Fig 4c: track monotonicity", [
+    print_tables(Table("Fig 4c: track monotonicity", [
         ("active frames", int(active.sum())),
         ("rising steps", int(rises)),
         ("falling steps", int(falls)),
-    ])
+    ]))
     assert rises >= 10
     assert falls <= 2  # allow boundary jitter
 
 
 def test_fig4d_with_song(run_once):
     result = run_once(port_scan_experiment, with_song=True)
-    _summarize(result, "Fig 4d: port scan, pop song playing")
+    print_tables(*result.tables())
     assert result.scan_detected
     assert len(result.ports_heard) >= 15

@@ -9,21 +9,13 @@ the split lands within one chirp period + control latency, the queue
 drains, and traffic flows on both paths afterwards.
 """
 
-from conftest import report
-
 from repro.experiments import load_balancing_experiment
+from repro.experiments.report import Table, print_tables
 
 
 def test_fig5a_queue_builds_then_drains(run_once):
     result = run_once(load_balancing_experiment)
-    rows = [("t (s)", "queue (pkts)")]
-    for time, length in zip(result.queue_series.times[::2],
-                            result.queue_series.values[::2]):
-        rows.append((f"{time:.1f}", int(length)))
-    rows.append(("split at", f"{result.split_time:.2f} s"
-                 if result.split_time else "never"))
-    report("Fig 5a: s_in->s_top queue evolution (paper split at 3.7 s)",
-           rows)
+    print_tables(*result.tables())
 
     assert result.rebalanced
     assert result.peak_queue_before_split > 75
@@ -42,11 +34,11 @@ def test_fig5a_reaction_latency_bounded(run_once):
         if length > 75
     )
     latency = result.split_time - crossing
-    report("Fig 5a: reaction latency", [
+    print_tables(Table("Fig 5a: reaction latency", [
         ("threshold crossed", f"{crossing:.2f} s"),
         ("split installed", f"{result.split_time:.2f} s"),
         ("latency", f"{latency:.3f} s"),
-    ])
+    ]))
     assert latency < 0.5
 
 
@@ -56,11 +48,11 @@ def test_fig5b_congestion_tone_in_spectrogram(run_once):
     result = run_once(load_balancing_experiment)
     high_band_tones = [entry for entry in result.tone_log
                        if entry[2] == "high"]
-    report("Fig 5b: band tones heard", [
+    print_tables(Table("Fig 5b: band tones heard", [
         ("total tones", len(result.tone_log)),
         ("high-band tones", len(high_band_tones)),
         ("first high tone", f"{high_band_tones[0][0]:.2f} s"
          if high_band_tones else "none"),
-    ])
+    ]))
     assert high_band_tones
     assert high_band_tones[0][0] <= result.split_time

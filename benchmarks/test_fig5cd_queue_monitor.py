@@ -10,20 +10,14 @@ three tones and back down, consistent with the actual queue trace.
 """
 
 import numpy as np
-from conftest import report
 
 from repro.experiments import queue_monitor_experiment
+from repro.experiments.report import Table, print_tables
 
 
 def test_fig5c_band_sequence(run_once):
     result = run_once(queue_monitor_experiment)
-    rows = [("t (s)", "queue (pkts)")]
-    for time, length in zip(result.queue_series.times,
-                            result.queue_series.values):
-        rows.append((f"{time:.1f}", int(length)))
-    report("Fig 5c: queue length (thresholds 25 / 75)", rows)
-    report("Fig 5c: bands heard over time",
-           [(f"{time:.1f}", band) for time, band in result.band_history])
+    print_tables(*result.tables())
 
     bands = result.bands_heard()
     assert bands == ["low", "medium", "high", "medium", "low"]
@@ -58,4 +52,4 @@ def test_fig5d_spectrogram_contains_three_tones(run_once):
         peak = magnitudes[:, band_index].max()
         rows.append((f"{target:.0f} Hz", f"{peak:.5f}"))
         assert peak > 0.001
-    report("Fig 5d: per-band peak magnitudes", rows)
+    print_tables(Table("Fig 5d: per-band peak magnitudes", rows))

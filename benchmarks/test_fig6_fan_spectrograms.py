@@ -7,43 +7,31 @@ to hold: the blade-pass line stands well above the room's floor when
 on, and collapses to (or below) the floor when off, in both rooms.
 """
 
-from conftest import report
-
 from repro.experiments import fan_spectrogram_panel
-
-
-def _panel_rows(panel):
-    return [
-        ("room", panel.room),
-        ("fan on", panel.fan_on),
-        ("blade-pass", f"{panel.blade_pass_hz:.0f} Hz"),
-        ("line level", f"{panel.blade_line_level_db:.1f} dB"),
-        ("room floor", f"{panel.noise_floor_db:.1f} dB"),
-        ("prominence", f"{panel.line_prominence_db:.1f} dB"),
-    ]
+from repro.experiments.report import Table, print_tables
 
 
 def test_fig6a_datacenter_fan_on(run_once):
     panel = run_once(fan_spectrogram_panel, "datacenter", True)
-    report("Fig 6a: datacenter, server ON", _panel_rows(panel))
+    print_tables(*panel.tables())
     assert panel.line_prominence_db > 15.0
 
 
 def test_fig6b_datacenter_fan_off(run_once):
     panel = run_once(fan_spectrogram_panel, "datacenter", False)
-    report("Fig 6b: datacenter, server OFF", _panel_rows(panel))
+    print_tables(*panel.tables())
     assert panel.line_prominence_db < 5.0
 
 
 def test_fig6c_office_fan_on(run_once):
     panel = run_once(fan_spectrogram_panel, "office", True)
-    report("Fig 6c: office, server ON", _panel_rows(panel))
+    print_tables(*panel.tables())
     assert panel.line_prominence_db > 25.0
 
 
 def test_fig6d_office_fan_off(run_once):
     panel = run_once(fan_spectrogram_panel, "office", False)
-    report("Fig 6d: office, server OFF", _panel_rows(panel))
+    print_tables(*panel.tables())
     assert panel.line_prominence_db < 5.0
 
 
@@ -57,7 +45,8 @@ def test_fig6_on_off_contrast_both_rooms(run_once):
 
     gaps = run_once(lambda: {room: contrast(room)
                              for room in ("datacenter", "office")})
-    report("Fig 6: on/off blade-line contrast",
-           [(room, f"{gap:.1f} dB") for room, gap in gaps.items()])
+    print_tables(Table("Fig 6: on/off blade-line contrast", [
+        (room, f"{gap:.1f} dB") for room, gap in gaps.items()
+    ]))
     assert gaps["datacenter"] > 20.0
     assert gaps["office"] > 40.0

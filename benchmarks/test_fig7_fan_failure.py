@@ -9,27 +9,13 @@ threshold separates them, and the alert fires shortly after the
 failure (bounded by the spin-down transient).
 """
 
-from conftest import report
-
 from repro.experiments import fan_failure_experiment
-
-
-def _rows(result):
-    return [
-        ("room", result.room),
-        ("failure injected", f"{result.failure_time:.1f} s"),
-        ("detected at", f"{result.detection_time:.1f} s"
-         if result.detection_time else "never"),
-        ("on-on max score", f"{result.on_on_max_score:.1f}"),
-        ("on-off min score", f"{result.on_off_min_score:.1f}"),
-        ("separation ratio", f"{result.separation_ratio:.1f}x"),
-        ("threshold", f"{result.threshold:.1f}"),
-    ]
+from repro.experiments.report import Table, print_tables
 
 
 def test_fig7a_datacenter(run_once):
     result = run_once(fan_failure_experiment, room="datacenter")
-    report("Fig 7a: datacenter failure detection", _rows(result))
+    print_tables(*result.tables())
     assert result.detected
     assert result.separation_ratio > 2.0
     assert result.detection_time - result.failure_time < 3.0
@@ -37,7 +23,7 @@ def test_fig7a_datacenter(run_once):
 
 def test_fig7b_office(run_once):
     result = run_once(fan_failure_experiment, room="office")
-    report("Fig 7b: office failure detection", _rows(result))
+    print_tables(*result.tables())
     assert result.detected
     assert result.separation_ratio > 5.0
     assert result.detection_time - result.failure_time < 3.0
@@ -48,10 +34,7 @@ def test_fig7_score_timeline(run_once):
     sustained jump (not a single spike)."""
     result = run_once(fan_failure_experiment, room="office", duration=16.0,
                       failure_time=8.0)
-    rows = [("t (s)", "score")]
-    for time, score in zip(result.scores.times, result.scores.values):
-        rows.append((f"{time:.1f}", f"{score:.1f}"))
-    report("Fig 7: amplitude-difference score over time", rows)
+    print_tables(*result.tables())
     post_failure = result.scores.window(result.failure_time + 2.5, 16.0)
     assert all(score > result.threshold for score in post_failure.values)
 
@@ -72,5 +55,6 @@ def test_fig7_no_false_alarm_on_healthy_server(run_once):
         return alarms
 
     alarms = run_once(run)
-    report("Fig 7 control: healthy server", list(alarms.items()))
+    print_tables(Table("Fig 7 control: healthy server",
+                       list(alarms.items())))
     assert alarms == {"datacenter": 0, "office": 0}

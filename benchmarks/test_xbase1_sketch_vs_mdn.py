@@ -5,20 +5,13 @@ sketching techniques".  Shape to hold: both detectors agree on the
 heavy flow over the same workload, and neither flags mice.
 """
 
-from conftest import report
-
 from repro.experiments import sketch_vs_mdn
+from repro.experiments.report import Table, print_tables
 
 
 def test_xbase1_agreement(run_once):
     result = run_once(sketch_vs_mdn)
-    report("XBASE1: sketch vs MDN heavy-hitter agreement", [
-        ("heavy flow", str(result.heavy_flow)),
-        ("MDN detected", result.mdn_detected),
-        ("sketch detected", result.sketch_detected),
-        ("MDN false positives", result.mdn_false_positive_buckets),
-        ("sketch false positives", result.sketch_false_positive_flows),
-    ])
+    print_tables(*result.tables())
     assert result.agree_on_heavy
     assert result.mdn_false_positive_buckets == 0
     assert result.sketch_false_positive_flows == 0
@@ -33,5 +26,5 @@ def test_xbase1_agreement_across_seeds(run_once):
     rows = [("seed run", "MDN", "sketch")]
     for index, result in enumerate(results):
         rows.append((index, result.mdn_detected, result.sketch_detected))
-    report("XBASE1: agreement across seeds", rows)
+    print_tables(Table("XBASE1: agreement across seeds", rows))
     assert all(result.agree_on_heavy for result in results)

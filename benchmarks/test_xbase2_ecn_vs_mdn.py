@@ -8,20 +8,13 @@ receives its first ECN echo — and the acoustic path does not ride the
 congested queue.
 """
 
-from conftest import report
-
 from repro.experiments import ecn_vs_mdn
+from repro.experiments.report import Table, print_tables
 
 
 def test_xbase2_notification_race(run_once):
     result = run_once(ecn_vs_mdn)
-    report("XBASE2: congestion notification latency", [
-        ("queue crossed 75 pkts at", f"{result.congestion_onset:.3f} s"),
-        ("MDN tone heard at", f"{result.mdn_heard_at:.3f} s"),
-        ("ECN echo at source at", f"{result.ecn_echo_at:.3f} s"),
-        ("MDN latency", f"{result.mdn_latency * 1000:.0f} ms"),
-        ("ECN latency", f"{result.ecn_latency * 1000:.0f} ms"),
-    ])
+    print_tables(*result.tables())
     assert result.mdn_latency is not None
     assert result.ecn_latency is not None
     # The chirp period bounds the acoustic latency (300 ms + window).
@@ -46,6 +39,6 @@ def test_xbase2_ecn_latency_grows_with_congestion(run_once):
             f"{result.mdn_latency * 1000:.0f}",
             f"{result.ecn_latency * 1000:.0f}",
         ))
-    report("XBASE2: latency vs offered load", rows)
+    print_tables(Table("XBASE2: latency vs offered load", rows))
     for result in results.values():
         assert result.mdn_latency < 0.45

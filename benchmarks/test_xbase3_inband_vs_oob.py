@@ -6,19 +6,13 @@ Shape to hold: when the data plane dies mid-run, in-band heartbeat
 delivery collapses while the acoustic heartbeat keeps arriving.
 """
 
-from conftest import report
-
 from repro.experiments import inband_vs_oob
+from repro.experiments.report import print_tables
 
 
 def test_xbase3_failure_survival(run_once):
     result = run_once(inband_vs_oob)
-    report("XBASE3: management heartbeat delivery through a data-plane "
-           "failure at t=8 s (20 s run)", [
-        ("in-band delivery rate", f"{result.inband_delivery_rate:.2f}"),
-        ("in-band max silent gap", f"{result.inband_max_gap:.1f} s"),
-        ("acoustic delivery rate", f"{result.acoustic_delivery_rate:.2f}"),
-    ])
+    print_tables(*result.tables())
     # In-band: everything after the cut is lost (~60% of the run).
     assert result.inband_delivery_rate < 0.6
     assert result.inband_max_gap > 10.0
@@ -29,9 +23,6 @@ def test_xbase3_failure_survival(run_once):
 def test_xbase3_early_failure(run_once):
     """Failure right at the start: in-band delivers almost nothing."""
     result = run_once(inband_vs_oob, duration=15.0, failure_time=1.0)
-    report("XBASE3: failure at t=1 s", [
-        ("in-band delivery rate", f"{result.inband_delivery_rate:.2f}"),
-        ("acoustic delivery rate", f"{result.acoustic_delivery_rate:.2f}"),
-    ])
+    print_tables(*result.tables())
     assert result.inband_delivery_rate < 0.15
     assert result.acoustic_survived

@@ -6,8 +6,6 @@
 * DESIGN.md §5's backend ablation: FFT vs Goertzel accuracy and cost.
 """
 
-from conftest import report
-
 from repro.core import FrequencyPlan
 from repro.experiments import (
     backend_ablation,
@@ -15,14 +13,16 @@ from repro.experiments import (
     guard_spacing_sweep,
     multipath_sweep,
 )
+from repro.experiments.report import Table, print_tables
 
 
 def test_xcap_thousand_frequency_claim(run_once):
     plan = run_once(FrequencyPlan, low_hz=20.0, high_hz=20_000.0,
                     guard_hz=20.0)
-    report("XCAP: audible-band capacity at 20 Hz guard (paper: ~1000)", [
-        ("capacity", plan.capacity),
-    ])
+    print_tables(Table(
+        "XCAP: audible-band capacity at 20 Hz guard (paper: ~1000)",
+        [("capacity", plan.capacity)],
+    ))
     assert 950 <= plan.capacity <= 1050
 
 
@@ -32,7 +32,7 @@ def test_xcap_concurrent_tone_sweep(run_once):
     for point in points:
         rows.append((point.num_tones, f"{point.recall:.2f}",
                      f"{point.precision:.2f}"))
-    report("XCAP: detection vs number of concurrent tones", rows)
+    print_tables(Table("XCAP: detection vs number of concurrent tones", rows))
     for point in points:
         assert point.recall >= 0.95
         assert point.precision >= 0.95
@@ -43,8 +43,8 @@ def test_xcap_guard_spacing_floor(run_once):
     rows = [("guard (Hz)", "both tones resolved")]
     for point in points:
         rows.append((point.guard_hz, point.both_detected))
-    report("XCAP: separability vs guard spacing (paper floor: ~20 Hz)",
-           rows)
+    print_tables(Table(
+        "XCAP: separability vs guard spacing (paper floor: ~20 Hz)", rows))
     by_guard = {point.guard_hz: point.both_detected for point in points}
     # The paper's 20 Hz spacing resolves; 5 Hz (below one FFT bin) fails.
     assert by_guard[20.0]
@@ -60,7 +60,8 @@ def test_xcap_multipath_robustness(run_once):
     for point in points:
         rows.append((point.echo_loss_db, f"{point.recall:.2f}",
                      point.false_positives))
-    report("XCAP: detection under multipath (two early reflections)", rows)
+    print_tables(Table(
+        "XCAP: detection under multipath (two early reflections)", rows))
     for point in points:
         assert point.recall == 1.0
         assert point.false_positives == 0
@@ -78,7 +79,7 @@ def test_xcap_backend_ablation(run_once):
             f"{comparison.goertzel_recall:.2f}",
             f"{comparison.goertzel_ms_per_window:.2f}",
         ))
-    report("XCAP: FFT vs Goertzel backend", rows)
+    print_tables(Table("XCAP: FFT vs Goertzel backend", rows))
     for comparison in comparisons:
         assert comparison.fft_recall == 1.0
         assert comparison.goertzel_recall == 1.0

@@ -7,8 +7,6 @@ defense's rejection rate against spoof, replay and wrong-key forgery,
 while legitimate chirps keep flowing.
 """
 
-from conftest import report
-
 from repro.audio import Position, Speaker, ToneSpec
 from repro.core.apps import BandToneMap, QueueChirper, QueueMonitorApp
 from repro.core.apps.secure_chirp import (
@@ -16,6 +14,7 @@ from repro.core.apps.secure_chirp import (
     SecureQueueChirper,
     SecureQueueMonitorApp,
 )
+from repro.experiments.report import Table, print_tables
 from repro.experiments.rigs import build_testbed
 
 KEY = b"shared-secret"
@@ -65,10 +64,10 @@ def test_xext10_plain_protocol_fully_spoofable(run_once):
         return injections, fake_highs
 
     injections, fake_highs = run_once(run)
-    report("XEXT10: spoofing the plain chirp protocol", [
+    print_tables(Table("XEXT10: spoofing the plain chirp protocol", [
         ("injected fake congestion tones", injections),
         ("believed by the controller", fake_highs),
-    ])
+    ]))
     assert fake_highs >= injections - 1  # essentially every one lands
 
 
@@ -107,12 +106,12 @@ def test_xext10_rolling_code_rejects_attacks(run_once):
 
     believed_high, rejected = run_once(run)
     # Per-attempt forgery probability = lookahead / |code block| = 2/16.
-    report("XEXT10: rolling-code defense vs 6 attacks "
-           "(bare spoof / replay / wrong key, x2; "
-           "per-attempt guess probability 2/16)", [
+    print_tables(Table("XEXT10: rolling-code defense vs 6 attacks "
+                       "(bare spoof / replay / wrong key, x2; "
+                       "per-attempt guess probability 2/16)", [
         ("fake congestion events believed", believed_high),
         ("spoofed tones rejected", rejected),
-    ])
+    ]))
     # Expected believed over 6 attempts: 6 * 2/16 = 0.75; this seeded
     # run must stay within the honest bound (and usually hits zero).
     assert believed_high <= 1

@@ -7,10 +7,9 @@ measures localization error across source positions and under
 interference.
 """
 
-from conftest import report
-
 from repro.audio import AcousticChannel, Microphone, Position, Speaker, ToneSpec
 from repro.core import TdoaLocalizer
+from repro.experiments.report import Table, print_tables
 from repro.fans import Server
 
 STATIONS = {
@@ -45,8 +44,8 @@ def test_xext11_position_sweep(run_once):
     rows = [("true position", "error (m)")]
     for position, error in errors:
         rows.append((position, f"{error:.2f}"))
-    report("XEXT11: localization error across source positions "
-           "(12 x 12 m room, 4 stations)", rows)
+    print_tables(Table("XEXT11: localization error across source positions "
+                       "(12 x 12 m room, 4 stations)", rows))
     assert all(error < 0.5 for _position, error in errors)
 
 
@@ -64,11 +63,11 @@ def test_xext11_beeping_server_despite_roaring_neighbour(run_once):
         return culprit, result
 
     culprit, result = run_once(run)
-    report("XEXT11: beeping server next to a roaring neighbour", [
+    print_tables(Table("XEXT11: beeping server next to a roaring neighbour", [
         ("true rack", f"({culprit.x:.0f}, {culprit.y:.0f})"),
         ("estimated", f"({result.position.x:.1f}, {result.position.y:.1f})"),
         ("error", f"{result.position.distance_to(culprit):.2f} m"),
         ("stations gated out", result.excluded),
-    ])
+    ]))
     assert result.position.distance_to(culprit) < 1.5
     assert "nw" in result.excluded

@@ -7,9 +7,8 @@ declares a device down after two missed beats.  Also includes the
 RED-vs-DCTCP marking ablation for the in-band comparators.
 """
 
-from conftest import report
-
 from repro.core.apps import build_liveness_mesh
+from repro.experiments.report import Table, print_tables
 from repro.experiments.rigs import build_testbed
 
 
@@ -29,13 +28,13 @@ def test_xext5_device_death_detected(run_once):
         return alive_at_4, death_time, alert, monitor.devices_down()
 
     alive_at_4, death_time, alert, down = run_once(run)
-    report("XEXT5: acoustic liveness monitoring (4 switches)", [
+    print_tables(Table("XEXT5: acoustic liveness monitoring (4 switches)", [
         ("false alarms before failure", alive_at_4),
         ("s_top killed at", f"{death_time:.1f} s"),
         ("declared down at", f"{alert.time:.1f} s"),
         ("detection latency", f"{alert.time - death_time:.1f} s"),
         ("down set at end", down),
-    ])
+    ]))
     assert alive_at_4 == []
     assert down == ["s_top"]
     assert alert.time - death_time < 3.5
@@ -80,11 +79,11 @@ def test_xext5_red_vs_dctcp_marking(run_once):
         return first_mark, dctcp.marked_count, red.marked_count
 
     first_mark, dctcp_count, red_count = run_once(run)
-    report("XEXT5 ablation: DCTCP-style vs RED first-mark time", [
+    print_tables(Table("XEXT5 ablation: DCTCP-style vs RED first-mark time", [
         ("DCTCP instantaneous", f"{first_mark['dctcp']:.3f} s"),
         ("RED (EWMA)", f"{first_mark['red']:.3f} s"),
         ("marks: dctcp/red", f"{dctcp_count}/{red_count}"),
-    ])
+    ]))
     assert first_mark["dctcp"] is not None
     assert first_mark["red"] is not None
     # The EWMA lags the instantaneous rule on a sharp onset.

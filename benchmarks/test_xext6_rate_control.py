@@ -8,14 +8,13 @@ removed.  Also measures the acoustic message service (§2/§8 management
 messaging) delivery.
 """
 
-from conftest import report
-
 from repro.core.apps import (
     BandToneMap,
     QueueChirper,
     RateControlApp,
     RateControlPolicy,
 )
+from repro.experiments.report import Table, print_tables
 from repro.experiments.rigs import build_testbed
 from repro.net import ConstantRateSource, Match
 
@@ -53,8 +52,8 @@ def test_xext6_loop_bounds_the_queue(run_once):
     peak_after_meter = chirper.queue_series.window(
         app.installed_at[0] + 1.0, metered_until
     ).max()
-    report("XEXT6: acoustic in-network rate control (450 pps into "
-           "250 pps egress, limit 150 pps)", [
+    print_tables(Table("XEXT6: acoustic in-network rate control "
+                       "(450 pps into 250 pps egress, limit 150 pps)", [
         ("meter installed at", f"{app.installed_at[0]:.1f} s"),
         ("meter released at",
          f"{app.released_at[0]:.1f} s" if app.released_at else "never"),
@@ -63,7 +62,7 @@ def test_xext6_loop_bounds_the_queue(run_once):
         ("queue peak 1 s after meter", int(peak_after_meter)),
         ("packets policed", int(switch.packets_policed.total)),
         ("final queue", int(chirper.queue_series.final())),
-    ])
+    ]))
     assert app.installed_at
     assert switch.packets_policed.total > 0
     assert peak_after_meter <= 75     # out of the congested band
@@ -81,9 +80,9 @@ def test_xext6_reaction_time(run_once):
         if length > 75
     )
     latency = app.installed_at[0] - crossing
-    report("XEXT6: meter install latency", [
+    print_tables(Table("XEXT6: meter install latency", [
         ("queue crossed 75 pkts", f"{crossing:.2f} s"),
         ("meter installed", f"{app.installed_at[0]:.2f} s"),
         ("latency", f"{latency:.3f} s"),
-    ])
+    ]))
     assert latency < 0.5

@@ -7,10 +7,9 @@ rhythm-enforcing melody authenticator and counts accidental opens.
 """
 
 import numpy as np
-from conftest import report
-
 from repro.core import sequence_machine
 from repro.core.apps.melody_auth import Melody, MelodyAuthenticator
+from repro.experiments.report import Table, print_tables
 from repro.experiments.rigs import build_testbed
 
 
@@ -38,12 +37,13 @@ def test_xext7_random_attacker_state_space(run_once):
     # Expected accidental opens: roughly knocks / alphabet^depth per
     # trial (a fresh chance at each position).
     expected_rate = knocks / alphabet ** depth
-    report("XEXT7: random knocker vs 3-note secret (4-symbol alphabet)", [
-        ("trials x knocks", f"{trials} x {knocks}"),
-        ("accidental opens", opens),
-        ("open rate / trial", f"{opens / trials:.3f}"),
-        ("expected order", f"~{expected_rate:.3f}"),
-    ])
+    print_tables(Table(
+        "XEXT7: random knocker vs 3-note secret (4-symbol alphabet)", [
+            ("trials x knocks", f"{trials} x {knocks}"),
+            ("accidental opens", opens),
+            ("open rate / trial", f"{opens / trials:.3f}"),
+            ("expected order", f"~{expected_rate:.3f}"),
+        ]))
     assert opens / trials < 4 * expected_rate + 0.05
 
 
@@ -69,10 +69,10 @@ def test_xext7_rhythm_requirement_blocks_slow_attacks(run_once):
         return auth
 
     auth = run_once(run)
-    report("XEXT7: slow sprayer vs rhythm-enforced melody", [
+    print_tables(Table("XEXT7: slow sprayer vs rhythm-enforced melody", [
         ("notes sprayed", len(auth.attempt_log)),
         ("timeouts forced", auth.timeouts),
         ("accepted", auth.accepted),
-    ])
+    ]))
     assert not auth.accepted
     assert auth.timeouts >= 25  # nearly every note reset the attempt

@@ -10,10 +10,9 @@ the change-only chirp optimization — showing where the discomfort
 budget goes and how much protocol discipline buys back.
 """
 
-from conftest import report
-
 from repro.audio import ExposureMeter, Position
 from repro.core.apps import BandToneMap, QueueChirper
+from repro.experiments.report import Table, print_tables
 from repro.experiments.rigs import SPEAKER_RING, build_testbed
 from repro.net import OnOffSource
 
@@ -57,7 +56,7 @@ def test_xext8_exposure_scales_with_apps(run_once):
         rows.append((name, f"{result.leq_db:.1f}",
                      f"{result.l_max_db:.1f}",
                      f"{result.fraction_above:.0%}"))
-    report("XEXT8: operator exposure 2 m from the rack", rows)
+    print_tables(Table("XEXT8: operator exposure 2 m from the rack", rows))
     single, five = reports["1 chirper"], reports["5 chirpers"]
     # More concurrent apps = louder room; five similar sources add
     # roughly 10*log10(5) ~= 7 dB.
@@ -82,6 +81,6 @@ def test_xext8_change_only_chirps_cut_exposure(run_once):
     for name, result in reports.items():
         rows.append((name, f"{result.leq_db:.1f}",
                      f"{result.fraction_above:.0%}"))
-    report("XEXT8: chirp discipline vs exposure", rows)
+    print_tables(Table("XEXT8: chirp discipline vs exposure", rows))
     assert (reports["change-only"].leq_db
             < reports["always (paper)"].leq_db - 3.0)

@@ -8,9 +8,8 @@ spacing and measures recall, phantom detections, per-window compute,
 and plan utilization.
 """
 
-from conftest import report
-
 from repro.experiments import monitoring_scale_sweep
+from repro.experiments.report import Table, print_tables
 
 
 def test_xext9_scale_sweep(run_once):
@@ -24,8 +23,8 @@ def test_xext9_scale_sweep(run_once):
                      f"{point.render_ms:.2f}",
                      f"{point.cached_render_ms:.3f}",
                      f"{point.plan_utilization:.0%}"))
-    report("XEXT9: one controller vs N chirping devices (20 Hz grid)",
-           rows)
+    print_tables(Table(
+        "XEXT9: one controller vs N chirping devices (20 Hz grid)", rows))
     for point in points:
         assert point.recall == 1.0
         assert point.false_positives == 0
@@ -41,8 +40,8 @@ def test_xext9_paper_testbed_size_is_trivial(run_once):
     """The paper's own 7-switch scale, specifically."""
     points = run_once(monitoring_scale_sweep, device_counts=(7,))
     point = points[0]
-    report("XEXT9: the paper's 7-switch testbed", [
+    print_tables(Table("XEXT9: the paper's 7-switch testbed", [
         ("recall", f"{point.recall:.2f}"),
         ("detect time", f"{point.detect_ms:.2f} ms"),
-    ])
+    ]))
     assert point.recall == 1.0

@@ -6,25 +6,19 @@
 * XEXT4: acoustic data modem (§2's data-plane context).
 """
 
-from conftest import report
-
 from repro.experiments import (
     modem_experiment,
     relay_experiment,
     superspreader_experiment,
     ultrasound_experiment,
 )
+from repro.experiments.report import Table, print_tables
 
 
 class TestXext1Relay:
     def test_two_relay_chain(self, run_once):
         result = run_once(relay_experiment, num_relays=2)
-        report("XEXT1: 3-hop tone relay over 90 m", [
-            ("direct single-hop heard", result.direct_heard),
-            ("relayed tone heard", result.relayed_heard),
-            ("end-to-end latency", f"{result.end_to_end_latency:.2f} s"),
-            ("per-relay forward counts", result.per_relay_counts),
-        ])
+        print_tables(*result.tables())
         assert not result.direct_heard  # single hop genuinely fails here
         assert result.relayed_heard
         # Each hop adds at most one listen window + tone duration.
@@ -37,7 +31,7 @@ class TestXext1Relay:
         for result in results:
             rows.append((result.num_hops - 1, result.source_to_listener_m,
                          f"{result.end_to_end_latency:.2f}"))
-        report("XEXT1: latency vs chain length", rows)
+        print_tables(Table("XEXT1: latency vs chain length", rows))
         latencies = [result.end_to_end_latency for result in results]
         assert all(result.relayed_heard for result in results)
         assert latencies == sorted(latencies)
@@ -46,21 +40,14 @@ class TestXext1Relay:
 class TestXext2Superspreader:
     def test_superspreader_detected(self, run_once):
         result = run_once(superspreader_experiment, mode="superspreader")
-        report("XEXT2: k-superspreader detection (k=5, 15 destinations)", [
-            ("detected", result.attack_detected),
-            ("attacker flagged", result.attacker_flagged),
-            ("first alert interval", result.detection_interval),
-        ])
+        print_tables(*result.tables())
         assert result.attack_detected
         assert result.attacker_flagged
         assert result.detection_interval <= 2.0
 
     def test_ddos_victim_detected(self, run_once):
         result = run_once(superspreader_experiment, mode="ddos")
-        report("XEXT2: DDoS victim detection (k=5, 15 spoofed sources)", [
-            ("detected", result.attack_detected),
-            ("victim flagged", result.attacker_flagged),
-        ])
+        print_tables(*result.tables())
         assert result.attack_detected
         assert result.attacker_flagged
 
@@ -68,11 +55,7 @@ class TestXext2Superspreader:
 class TestXext3Ultrasound:
     def test_capacity_doubles(self, run_once):
         result = run_once(ultrasound_experiment)
-        report("XEXT3: ultrasound band extension", [
-            ("audible capacity (20 Hz-20 kHz)", result.audible_capacity),
-            ("extended capacity (to 40 kHz)", result.extended_capacity),
-            ("25 kHz tone detected", result.ultrasound_tone_detected),
-        ])
+        print_tables(*result.tables())
         assert result.extended_capacity == 2 * result.audible_capacity
         assert result.ultrasound_tone_detected
 
@@ -80,13 +63,7 @@ class TestXext3Ultrasound:
 class TestXext4Modem:
     def test_management_alert_over_sound(self, run_once):
         result = run_once(modem_experiment)
-        report("XEXT4: FSK data modem (paper context: ~20 B / 6 s / hop)", [
-            ("payload", f"{result.payload_bytes} bytes"),
-            ("airtime", f"{result.airtime_s:.2f} s"),
-            ("effective rate", f"{result.effective_bits_per_second:.1f} bit/s"),
-            ("decoded (clean)", result.decoded_ok),
-            ("decoded (song noise)", result.decoded_ok_with_song),
-        ])
+        print_tables(*result.tables())
         assert result.decoded_ok
         assert result.decoded_ok_with_song
         # Same order of magnitude as the cited literature.

@@ -24,6 +24,7 @@ from ..audio import (
     white_noise,
 )
 from ..core import FrequencyPlan
+from .report import Table
 from .rigs import SPEAKER_RING
 
 
@@ -36,10 +37,22 @@ class Fig2AResult:
     levels_db: dict[str, float]         #: switch -> received level
     spectrum_frequencies: np.ndarray
     spectrum_magnitudes: np.ndarray
+    noise_level_db: float | None = None  #: background noise, if any
 
     @property
     def all_identified(self) -> bool:
         return set(self.detected) == set(self.played)
+
+    def tables(self) -> list[Table]:
+        noise = ("" if self.noise_level_db is None
+                 else f" (noise {self.noise_level_db:.0f} dB)")
+        rows = [("switch", "played Hz", "measured Hz", "level dB")]
+        for name in sorted(self.played):
+            rows.append((name, f"{self.played[name]:.0f}",
+                         f"{self.detected.get(name, float('nan')):.1f}",
+                         f"{self.levels_db.get(name, float('nan')):.1f}"))
+        return [Table(f"Fig 2a{noise}: simultaneous switch identification",
+                      rows, [f"all identified: {self.all_identified}"])]
 
 
 def multiswitch_fft(
@@ -82,9 +95,8 @@ def multiswitch_fft(
             detected[owner] = event.measured_frequency
             levels[owner] = event.level_db
     spectrum = SpectrumAnalyzer(zero_pad_factor=2).analyze(window)
-    return Fig2AResult(
-        played, detected, levels, spectrum.frequencies, spectrum.magnitudes
-    )
+    return Fig2AResult(played, detected, levels, spectrum.frequencies,
+                       spectrum.magnitudes, noise_level_db)
 
 
 @dataclass
@@ -100,6 +112,13 @@ class Fig2BResult:
     def cdf_points(self, qs=(10, 25, 50, 75, 90, 95, 99)) -> list[tuple[int, float]]:
         """(percentile, milliseconds) pairs — the Figure 2b curve."""
         return [(q, self.percentile_ms(q)) for q in qs]
+
+    def tables(self) -> list[Table]:
+        rows = [("percentile", "ms")]
+        rows += [(f"p{q}", f"{value:.4f}") for q, value in self.cdf_points()]
+        return [Table(f"Fig 2b: FFT processing-time CDF for "
+                      f"{self.window_duration_ms:.0f} ms windows "
+                      f"(paper: p90 <= 0.35 ms)", rows)]
 
 
 def fft_latency_cdf(

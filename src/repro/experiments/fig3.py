@@ -15,6 +15,7 @@ import numpy as np
 from ..audio import mel_spectrogram
 from ..core.apps import KnockConfig, KnockEmitter, PortKnockingApp
 from ..net import Action, ByteCounterSampler, ConstantRateSource, TimeSeries
+from .report import Table, optional
 from .rigs import build_testbed
 
 KNOCK_PORTS = (7001, 7002, 7003)
@@ -32,10 +33,25 @@ class Fig3Result:
     knock_ports_heard: list[int]
     #: Mel spectrogram of the knock window: (times, centers_hz, mags).
     spectrogram: tuple[np.ndarray, np.ndarray, np.ndarray]
+    correct_order: bool = True  #: False for the wrong-order control
 
     @property
     def opened(self) -> bool:
         return self.opened_at is not None
+
+    def tables(self) -> list[Table]:
+        rows = [("t (s)", "sent kB", "recvd kB")]
+        for time, sent in zip(self.sent_bytes.times[::4],
+                              self.sent_bytes.values[::4]):
+            received = self.received_bytes.value_at(time)
+            rows.append((f"{time:.1f}", f"{sent / 1000:.0f}",
+                         f"{received / 1000:.0f}"))
+        run = ("Fig 3a" if self.correct_order
+               else "Fig 3 control (wrong knock order)")
+        return [Table(f"{run}: bytes sent / received", rows, [
+            f"knocks heard: {self.knock_ports_heard}; port opened at "
+            f"t = {optional(self.opened_at, '{:.1f} s')}",
+        ])]
 
 
 def port_knocking_experiment(
@@ -96,4 +112,5 @@ def port_knocking_experiment(
         knock_times=[time for time, _port in app.knock_log],
         knock_ports_heard=[port for _time, port in app.knock_log],
         spectrogram=spectrogram,
+        correct_order=correct_order,
     )

@@ -38,6 +38,7 @@ from ..core.apps.evaluation import (
     score_heavy_hitter,
     score_port_scan,
 )
+from .report import Table, precision_recall_notes
 from .rigs import build_testbed
 
 #: Link rate used for telemetry runs: 2 Mb/s at 1000 B -> 250 pkt/s.
@@ -63,6 +64,26 @@ class Fig4ABResult:
     #: Ground-truth precision/recall — only when driven by a workload,
     #: which is the only case where truth labels exist.
     precision_recall: dict | None = None
+
+    def tables(self) -> list[Table]:
+        counts = self.per_interval_heavy_counts
+        rows = [("interval end (s)", "heavy-bucket windows")]
+        rows += [(f"{time:.0f}", int(count))
+                 for time, count in zip(counts.times, counts.values)]
+        false_positives = sorted(self.false_positive_frequencies)
+        notes = [f"heavy flow {self.heavy_flow} -> "
+                 f"{self.heavy_frequency:.0f} Hz; detected: "
+                 f"{self.heavy_detected}; false positives: "
+                 f"{len(false_positives)}"
+                 + (f" at {false_positives} Hz" if false_positives else "")]
+        notes += precision_recall_notes("heavy hitter", self.precision_recall)
+        return [Table(f"Fig 4a/b ({_condition(self.with_song, self.workload)})"
+                      f": heavy hitter detection", rows, notes)]
+
+
+def _condition(with_song: bool, workload: str | None) -> str:
+    condition = "with song" if with_song else "clean"
+    return condition + (f", workload {workload}" if workload else "")
 
 
 def heavy_hitter_experiment(
@@ -173,6 +194,23 @@ class Fig4CDResult:
     workload: str | None = None
     #: Ground-truth precision/recall — workload-driven runs only.
     precision_recall: dict | None = None
+
+    def tables(self) -> list[Table]:
+        ports, track = self.ports_heard, self.dominant_track_hz
+        rows = [
+            ("scan detected", self.scan_detected),
+            ("distinct ports in alert",
+             self.alerts[0].distinct_ports if self.alerts else 0),
+            ("ports heard", len(ports)),
+            ("first ports heard (ordered)", ports[:10]),
+            ("sweep order preserved", ports == sorted(ports)),
+            ("dominant track start/end Hz",
+             f"{track[0]:.0f} -> {track[-1]:.0f}" if len(track) else "n/a"),
+        ]
+        return [Table(f"Fig 4c/d ({_condition(self.with_song, self.workload)})"
+                      f": port scan detection", rows,
+                      precision_recall_notes("port scan",
+                                             self.precision_recall))]
 
 
 def port_scan_experiment(

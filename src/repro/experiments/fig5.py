@@ -30,6 +30,7 @@ from ..net import (
     VectorizedFlowDriver,
     build_workload,
 )
+from .report import Table, optional
 from .rigs import build_testbed
 
 
@@ -44,6 +45,7 @@ class Fig5ABResult:
     bottom_path_packets: float
     tone_log: list[tuple[float, str, str]]
     spectrogram: tuple[np.ndarray, np.ndarray, np.ndarray]
+    split_tone_hz: float  #: the congestion (high-band) chirp frequency
     #: Named background workload mix, if any, and what it emitted.
     workload: str | None = None
     background_packets: int = 0
@@ -51,6 +53,20 @@ class Fig5ABResult:
     @property
     def rebalanced(self) -> bool:
         return self.split_time is not None
+
+    def tables(self) -> list[Table]:
+        rows = [("t (s)", "queue pkts")]
+        rows += [(f"{time:.1f}", int(length)) for time, length in zip(
+            self.queue_series.times[::2], self.queue_series.values[::2])]
+        notes = [f"split installed at t = "
+                 f"{optional(self.split_time, '{:.2f} s')} "
+                 f"(paper run: 3.7 s); final queue {self.final_queue:.0f}"]
+        if self.workload:
+            notes.append(f"background workload {self.workload}: "
+                         f"{self.background_packets} packets")
+        return [Table(f"Fig 5a: queue under ramping load on s_in->s_top "
+                      f"(split on {self.split_tone_hz:.0f} Hz tone)",
+                      rows, notes)]
 
 
 def load_balancing_experiment(
@@ -120,6 +136,7 @@ def load_balancing_experiment(
         bottom_path_packets=topo.switches["s_bottom"].packets_forwarded.total,
         tone_log=list(app.tone_log),
         spectrogram=spectrogram,
+        split_tone_hz=tones.high,
         workload=workload,
         background_packets=(background.packets_emitted
                             if background is not None else 0),
@@ -138,6 +155,16 @@ class Fig5CDResult:
 
     def bands_heard(self) -> list[str]:
         return [band for _time, band in self.band_history]
+
+    def tables(self) -> list[Table]:
+        queue = [("t (s)", "queue pkts")]
+        queue += [(f"{time:.1f}", int(length)) for time, length in zip(
+            self.queue_series.times, self.queue_series.values)]
+        bands = [("t (s)", "tone", "band")]
+        bands += [(f"{time:.1f}", f"{FIG5_BAND_FREQUENCIES[band]:.0f} Hz",
+                   band) for time, band in self.band_history]
+        return [Table("Fig 5c: queue length (thresholds 25 / 75)", queue),
+                Table("Fig 5c/d: queue bands by ear", bands)]
 
 
 def queue_monitor_experiment(

@@ -18,6 +18,7 @@ from ..audio import SpectrumAnalyzer, mel_spectrogram
 from ..core.apps import FanWatchdog
 from ..fans import RoomScene, Server, datacenter_scene, office_scene
 from ..net import TimeSeries
+from .report import Table, optional
 
 ROOMS = ("datacenter", "office")
 
@@ -45,6 +46,16 @@ class Fig6Panel:
     def line_prominence_db(self) -> float:
         """How far the fan's strongest line stands above the floor."""
         return self.blade_line_level_db - self.noise_floor_db
+
+    def tables(self) -> list[Table]:
+        panel = "abcd"[2 * ROOMS.index(self.room) + (not self.fan_on)]
+        return [Table(f"Fig 6{panel}: blade-pass line vs room floor", [
+            ("room", "fan", "blade-pass Hz", "line dB", "floor dB",
+             "prominence dB"),
+            (self.room, "ON" if self.fan_on else "OFF",
+             f"{self.blade_pass_hz:.0f}", f"{self.blade_line_level_db:.1f}",
+             f"{self.noise_floor_db:.1f}", f"{self.line_prominence_db:.1f}"),
+        ])]
 
 
 def fan_spectrogram_panel(room: str, fan_on: bool,
@@ -90,6 +101,24 @@ class Fig7Result:
         if self.on_on_max_score <= 0:
             return float("inf")
         return self.on_off_min_score / self.on_on_max_score
+
+    def tables(self) -> list[Table]:
+        figure = f"Fig 7{'ab'[ROOMS.index(self.room)]}"
+        scores = [("t (s)", "score")]
+        scores += [(f"{time:.1f}", f"{score:.1f}") for time, score
+                   in zip(self.scores.times, self.scores.values)]
+        return [
+            Table(f"{figure}: amplitude-difference failure detection", [
+                ("room", "failure at", "on-on max", "on-off min",
+                 "separation", "threshold", "detected at"),
+                (self.room, f"{self.failure_time:.1f} s",
+                 f"{self.on_on_max_score:.1f}", f"{self.on_off_min_score:.1f}",
+                 f"{self.separation_ratio:.1f}x", f"{self.threshold:.1f}",
+                 optional(self.detection_time, "{:.1f} s")),
+            ]),
+            Table(f"{figure}: amplitude-difference score over time "
+                  f"({self.room})", scores),
+        ]
 
 
 def fan_failure_experiment(

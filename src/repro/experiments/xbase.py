@@ -37,6 +37,7 @@ from ..net import (
 from ..net.flowpop import LABEL_ELEPHANT
 from ..core.apps.evaluation import score_heavy_hitter
 from .fig4 import LINK_CAPACITY_PPS
+from .report import Table, optional, precision_recall_notes
 from .rigs import build_testbed
 
 
@@ -56,6 +57,17 @@ class SketchVsMdnResult:
     @property
     def agree_on_heavy(self) -> bool:
         return self.mdn_detected and self.sketch_detected
+
+    def tables(self) -> list[Table]:
+        workload = f", workload {self.workload}" if self.workload else ""
+        return [Table(f"XBASE1: sketch vs MDN heavy-hitter agreement"
+                      f"{workload}", [
+            ("heavy flow", str(self.heavy_flow)),
+            ("MDN / sketch detected",
+             f"{self.mdn_detected} / {self.sketch_detected}"),
+            ("MDN false positives", self.mdn_false_positive_buckets),
+            ("sketch false positives", self.sketch_false_positive_flows),
+        ], precision_recall_notes("MDN detector", self.mdn_precision_recall))]
 
 
 def sketch_vs_mdn(
@@ -165,6 +177,18 @@ class EcnVsMdnResult:
     mdn_latency: float | None
     ecn_latency: float | None
 
+    def tables(self) -> list[Table]:
+        def ms(latency):
+            return "never" if latency is None else f"{latency * 1000:.0f} ms"
+
+        return [Table("XBASE2: notification latency", [
+            ("queue crossed 75 pkts at", f"{self.congestion_onset:.3f} s"),
+            ("MDN tone heard at", optional(self.mdn_heard_at, "{:.3f} s")),
+            ("ECN echo at source at", optional(self.ecn_echo_at, "{:.3f} s")),
+            ("MDN tone latency", ms(self.mdn_latency)),
+            ("ECN echo latency", ms(self.ecn_latency)),
+        ])]
+
 
 def ecn_vs_mdn(
     duration: float = 12.0,
@@ -229,10 +253,21 @@ class InbandVsOobResult:
     inband_delivery_rate: float
     inband_max_gap: float
     acoustic_delivery_rate: float
+    failure_time: float
+    duration: float
 
     @property
     def acoustic_survived(self) -> bool:
         return self.acoustic_delivery_rate > 0.9
+
+    def tables(self) -> list[Table]:
+        return [Table(f"XBASE3: delivery through data-plane failure at "
+                      f"t={self.failure_time:.0f} s ({self.duration:.0f} s "
+                      f"run)", [
+            ("in-band delivery rate", f"{self.inband_delivery_rate:.2f}"),
+            ("in-band max silent gap", f"{self.inband_max_gap:.1f} s"),
+            ("acoustic delivery rate", f"{self.acoustic_delivery_rate:.2f}"),
+        ])]
 
 
 def inband_vs_oob(
@@ -262,4 +297,6 @@ def inband_vs_oob(
         inband_delivery_rate=stats.delivery_rate,
         inband_max_gap=stats.max_gap,
         acoustic_delivery_rate=heartbeat.delivery_rate(),
+        failure_time=failure_time,
+        duration=duration,
     )

@@ -32,6 +32,7 @@ from ..core.apps import (
     SuperspreaderDetectorApp,
 )
 from ..net import FanInSource, FanOutSource, Simulator
+from .report import Table, optional
 from .rigs import build_testbed
 
 
@@ -45,6 +46,15 @@ class RelayResult:
     relayed_heard: bool
     end_to_end_latency: float | None
     per_relay_counts: list[float]
+
+    def tables(self) -> list[Table]:
+        return [Table(f"XEXT1: multi-hop relay ({self.num_hops} hops over "
+                      f"{self.source_to_listener_m:.0f} m)", [
+            ("direct heard", self.direct_heard),
+            ("relayed heard", self.relayed_heard),
+            ("latency", optional(self.end_to_end_latency, "{:.2f} s")),
+            ("per-relay forward counts", self.per_relay_counts),
+        ])]
 
 
 def relay_experiment(
@@ -111,6 +121,21 @@ class SuperspreaderResult:
     attacker_flagged: bool
     benign_alerts: int
     detection_interval: float | None
+    k: int                         #: distinct-peer threshold
+    num_addresses: int             #: peers the attacker contacts
+
+    def tables(self) -> list[Table]:
+        attack, culprit, peers = (
+            ("k-superspreader", "attacker", "destinations")
+            if self.mode == "superspreader"
+            else ("DDoS victim", "victim", "spoofed sources"))
+        return [Table(f"XEXT2: chord telemetry, {attack} detection "
+                      f"(k={self.k}, {self.num_addresses} {peers})", [
+            (f"{attack} detected", self.attack_detected),
+            (f"{culprit} flagged", self.attacker_flagged),
+            ("first alert interval",
+             optional(self.detection_interval, "{}")),
+        ])]
 
 
 def superspreader_experiment(
@@ -161,7 +186,8 @@ def superspreader_experiment(
         first = (app.victim_alerts[0].interval_start
                  if app.victim_alerts else None)
         benign = len(app.spreader_alerts)
-    return SuperspreaderResult(mode, detected, flagged, benign, first)
+    return SuperspreaderResult(mode, detected, flagged, benign, first, k,
+                               num_addresses)
 
 
 @dataclass
@@ -171,6 +197,13 @@ class UltrasoundResult:
     audible_capacity: int
     extended_capacity: int
     ultrasound_tone_detected: bool
+
+    def tables(self) -> list[Table]:
+        return [Table("XEXT3: ultrasound capacity (band extension)", [
+            ("audible capacity (20 Hz-20 kHz)", self.audible_capacity),
+            ("extended capacity (to 40 kHz)", self.extended_capacity),
+            ("25 kHz tone detected", self.ultrasound_tone_detected),
+        ])]
 
 
 def ultrasound_experiment(guard_hz: float = 20.0) -> UltrasoundResult:
@@ -203,6 +236,14 @@ class ModemResult:
     effective_bits_per_second: float
     decoded_ok: bool
     decoded_ok_with_song: bool
+
+    def tables(self) -> list[Table]:
+        return [Table("XEXT4: FSK modem (paper context: ~20 B / 6 s / hop)", [
+            ("airtime", f"{self.airtime_s:.2f} s for {self.payload_bytes} B"),
+            ("effective rate", f"{self.effective_bits_per_second:.1f} bit/s"),
+            ("decoded clean / noisy",
+             f"{self.decoded_ok} / {self.decoded_ok_with_song}"),
+        ])]
 
 
 def modem_experiment(payload: bytes = b"MDN alert: rack 7 fan failure") -> ModemResult:

@@ -44,6 +44,7 @@ from ..core.apps.failover import FailoverEvent, FailoverManager, InbandFallback
 from ..faults import FaultHarness
 from ..net.sim import Simulator
 from ..net.switch import Switch
+from .report import Table, optional
 from .rigs import build_testbed
 
 #: Seed every xext12 stage derives its fault schedules from.
@@ -313,6 +314,37 @@ class Xext12Result:
     arq: list[ArqPoint]
     failover: FailoverResult
     resilience: list[ResiliencePoint]
+
+    def tables(self) -> list[Table]:
+        episode = self.failover
+        return [
+            Table("XEXT12a: MP frame loss — ARQ vs fire-and-forget", [
+                ("loss", "bare", "arq", "rtx", "expired", "ack p̄ ms"),
+                *((f"{p.loss_rate:.0%}", f"{p.no_arq_delivery:.1%}",
+                   f"{p.arq_delivery:.1%}", p.retransmits, p.expired,
+                   f"{p.mean_ack_latency_ms:.1f}") for p in self.arq),
+            ]),
+            Table("XEXT12b: speaker-death failover episode", [
+                ("speaker outage", f"{episode.fault_start:.1f}–"
+                 f"{episode.fault_end:.1f} s"),
+                ("first missed beat", f"{episode.first_missed_beat:.2f} s"),
+                ("failover latency",
+                 f"{optional(episode.failover_latency, '{:.2f} s')} "
+                 f"(budget {2 * episode.period:.2f} s)"),
+                ("in-band coverage", f"{episode.inband_delivered} beats "
+                 f"at {episode.inband_delivery_rate:.0%}"),
+                ("failback to acoustic",
+                 optional(episode.failback_at, "{:.2f} s")),
+                ("final health", episode.final_state.name),
+            ]),
+            Table("XEXT12c: dropout duty cycle vs coverage", [
+                ("fault rate", "acoustic", "covered", "failovers",
+                 "in-band beats"),
+                *((f"{p.fault_rate:.0%}", f"{p.detection_accuracy:.1%}",
+                   f"{p.covered_fraction:.1%}", p.failovers,
+                   p.inband_delivered) for p in self.resilience),
+            ]),
+        ]
 
 
 def resilience_experiment(smoke: bool = False,

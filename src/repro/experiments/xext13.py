@@ -45,6 +45,7 @@ from ..core.apps.failover import FailoverManager, InbandFallback
 from ..core.controller import MDNController
 from ..core.frequency_plan import Allocation
 from ..faults import FaultHarness
+from .report import Table, optional
 from .rigs import build_testbed
 
 #: Seed every xext13 interferer schedule derives from.
@@ -377,6 +378,27 @@ class Xext13Result:
     failover: PolicyResult
     agility: PolicyResult
     sweep: list[SweepPoint]
+
+    def tables(self) -> list[Table]:
+        headline = self.agility
+        return [
+            Table(f"XEXT13a: {headline.covered_fraction:.0%} of the "
+                  f"allocation jammed from t = "
+                  f"{headline.interferer_start:.1f} s", [
+                ("policy", "clean", "jammed", "failovers",
+                 "health transitions", "migrations", "epoch", "latency"),
+                *((p.policy, f"{p.clean_delivery:.1%}", f"{p.delivery:.1%}",
+                   p.failovers, p.health_transitions, p.migrations_committed,
+                   p.plan_epoch, optional(p.migration_latency, "{:.2f} s"))
+                  for p in (self.static, self.failover, self.agility)),
+            ]),
+            Table("XEXT13b: interference bandwidth vs delivery", [
+                ("covered", "static", "agility", "migrations"),
+                *((f"{p.covered_fraction:.0%}", f"{p.static_delivery:.1%}",
+                   f"{p.agility_delivery:.1%}", p.migrations)
+                  for p in self.sweep),
+            ]),
+        ]
 
 
 def spectrum_agility_experiment(smoke: bool = False,

@@ -46,6 +46,7 @@ from ..core.apps.failover import FailoverManager, InbandFallback
 from ..infra import BreakerState, CircuitBreaker, SpectraCache, TokenBucket
 from ..net.sim import Simulator
 from ..net.switch import Switch
+from .report import Table, optional
 from .rigs import build_testbed
 
 #: Seed for every xext14 stage (microphone noise, agent naming).
@@ -359,6 +360,51 @@ class Xext14Result:
     wedged: WedgedLinkResult
     storm: StormResult
     shared: SharedSpectraResult
+
+    def tables(self) -> list[Table]:
+        wedged, storm, shared = self.wedged, self.storm, self.shared
+        return [
+            Table(f"XEXT14a: Pi wedged at t = {wedged.wedge_at:.1f} s, "
+                  f"restarts at t = {wedged.recover_at:.1f} s", [
+                ("deadline-only", f"failover after "
+                 f"{optional(wedged.baseline_latency, '{:.2f} s')}  "
+                 f"({wedged.baseline_expired} frames rode the full "
+                 f"deadline)"),
+                ("circuit breaker", f"failover after "
+                 f"{optional(wedged.breaker_latency, '{:.2f} s')}  "
+                 f"({wedged.breaker_trips} trips, "
+                 f"{wedged.fast_failed} sends fast-failed, "
+                 f"{wedged.breaker_expired} expired)"),
+                ("speedup",
+                 f"{wedged.speedup:.1f}x" if wedged.speedup else "n/a"),
+                ("failback", optional(wedged.failback_at,
+                                      "acoustic again at {:.2f} s")),
+            ]),
+            Table(f"XEXT14b: {storm.storm_sends} sends in "
+                  f"{storm.storm_duration:.1f} s against a crashed Pi "
+                  f"(bucket rate {storm.bucket_rate:.0f}/s, "
+                  f"burst {storm.bucket_burst:.0f})", [
+                ("no admission",
+                 f"peak in-flight {storm.bare_peak_in_flight}"),
+                ("token bucket",
+                 f"peak in-flight {storm.limited_peak_in_flight} "
+                 f"(bound {storm.admitted_bound:.0f})  "
+                 f"admitted {storm.arq_admitted}, shed {storm.arq_shed}"),
+                ("controller ingest",
+                 f"{storm.controller_detections} detections = "
+                 f"{storm.controller_dispatched} dispatched + "
+                 f"{storm.controller_shed} shed "
+                 f"(conserved: {storm.conservation_holds})"),
+            ]),
+            Table(f"XEXT14c: two controllers, one microphone, one spectra "
+                  f"cache ({shared.windows_each} windows each)", [
+                ("cache", f"{shared.cache_hits} hits / "
+                 f"{shared.cache_misses} misses  "
+                 f"(hit rate {shared.hit_rate:.1%})"),
+                ("events", f"{shared.events_a} vs {shared.events_b}, "
+                 f"identical: {shared.events_identical}"),
+            ]),
+        ]
 
 
 def infra_experiment(smoke: bool = False,

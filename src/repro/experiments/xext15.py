@@ -24,12 +24,12 @@ Results land in ``.benchmarks/BENCH_fleet.json``.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..fleet import FleetReport, FleetSpec, run_fleet
+from .report import Table, export_json
 
 #: Seed for every xext15 fleet (PR sequence number, like XEXT14_SEED).
 XEXT15_SEED = 15
@@ -83,12 +83,31 @@ class Xext15Result:
 
     def export(self, path: str | Path | None = None) -> Path:
         """Write the scaling record to ``BENCH_fleet.json``."""
-        target = Path(path or os.environ.get("BENCH_FLEET_JSON", BENCH_PATH))
-        target.parent.mkdir(parents=True, exist_ok=True)
-        payload = asdict(self)
-        payload["best_speedup"] = self.best_speedup
-        target.write_text(json.dumps(payload, indent=2) + "\n")
-        return target
+        return export_json(self, path, "BENCH_FLEET_JSON", BENCH_PATH,
+                           best_speedup=self.best_speedup)
+
+    def tables(self) -> list[Table]:
+        return [
+            Table(f"XEXT15: fleet of {self.num_rooms} rooms x "
+                  f"{self.switches_per_room} switches = {self.num_switches} "
+                  f"switches, ~{self.nominal_emissions_per_second:.0f} "
+                  f"emissions/s over {self.horizon:.1f} s "
+                  f"(host has {self.cpu_count} CPU core(s))", [
+                ("delivery",
+                 f"{self.delivered}/{self.emissions} chirps "
+                 f"({self.delivery_ratio:.1%}), "
+                 f"{self.spurious_onsets} spurious onsets"),
+                ("determinism",
+                 f"two serial runs identical: {self.determinism_ok}"),
+            ]),
+            Table("XEXT15: shard count vs wall clock", [
+                ("backend", "wall s", "speedup", "rtf sim-s/s", "identical",
+                 "failures"),
+                *((f"{p.backend} x{p.num_shards}", f"{p.wall_s:.2f}",
+                   f"{p.speedup:.2f}x", f"{p.real_time_factor:.1f}",
+                   p.identical, p.failures) for p in self.points),
+            ]),
+        ]
 
 
 def fleet_experiment(

@@ -27,10 +27,8 @@ Results land in ``.benchmarks/BENCH_workload.json``.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.apps import (
@@ -57,6 +55,7 @@ from ..net.workload import (
     build_workload,
     launch_reference_sources,
 )
+from .report import Table, export_json
 
 #: Seed for every xext16 workload (the PR sequence number).
 XEXT16_SEED = 16
@@ -133,13 +132,37 @@ class Xext16Result:
 
     def export(self, path: str | Path | None = None) -> Path:
         """Write the record to ``BENCH_workload.json``."""
-        target = Path(path or os.environ.get("BENCH_WORKLOAD_JSON",
-                                             BENCH_PATH))
-        target.parent.mkdir(parents=True, exist_ok=True)
-        payload = asdict(self)
-        payload["max_flows_sustained"] = self.max_flows_sustained
-        target.write_text(json.dumps(payload, indent=2) + "\n")
-        return target
+        return export_json(self, path, "BENCH_WORKLOAD_JSON", BENCH_PATH,
+                           max_flows_sustained=self.max_flows_sustained)
+
+    def tables(self) -> list[Table]:
+        speedup = self.speedup
+        return [
+            Table(f"XEXT16: workload mixes over {self.mix_duration:.0f} s "
+                  f"({self.num_buckets} buckets, "
+                  f"{self.presence_period * 1000:.0f} ms presence grid)", [
+                ("mix", "flows", "pkts", "hh P/R", "scan P/R", "wall s"),
+                *((p.name, p.num_flows, p.packets,
+                   f"{p.heavy_hitter['precision']:.2f}/"
+                   f"{p.heavy_hitter['recall']:.2f}",
+                   f"{p.port_scan['precision']:.2f}/"
+                   f"{p.port_scan['recall']:.2f}", f"{p.wall_s:.2f}")
+                  for p in self.mixes),
+            ]),
+            Table("XEXT16: vectorized driver scale", [
+                ("flows", "pkts", "build s", "run s", "pkt/s"),
+                *((f"{p.num_flows:,}", f"{p.packets:,}", f"{p.build_s:.2f}",
+                   f"{p.run_s:.2f}", f"{p.packets_per_wall_second:,.0f}")
+                  for p in self.scale),
+            ]),
+            Table("XEXT16: vectorized vs per-flow reference", [
+                ("flows", "vector s", "reference s", "speedup",
+                 "counts identical"),
+                (f"{speedup.num_flows:,}", f"{speedup.vectorized_wall_s:.3f}",
+                 f"{speedup.reference_wall_s:.3f}", f"{speedup.speedup:.1f}x",
+                 speedup.counts_match),
+            ]),
+        ]
 
 
 def _run_mix(name: str, num_flows: int, duration: float,

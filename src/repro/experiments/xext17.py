@@ -24,13 +24,13 @@ Results land in ``.benchmarks/BENCH_chaos.json``.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..faults.process import ProcessFaultPlan
 from ..fleet import FleetSpec, SupervisorPolicy, run_fleet
+from .report import Table, export_json
 
 #: Seed for every xext17 fleet (PR sequence number, like XEXT15_SEED).
 XEXT17_SEED = 17
@@ -99,13 +99,36 @@ class Xext17Result:
 
     def export(self, path: str | Path | None = None) -> Path:
         """Write the chaos record to ``BENCH_chaos.json``."""
-        target = Path(path or os.environ.get("BENCH_CHAOS_JSON", BENCH_PATH))
-        target.parent.mkdir(parents=True, exist_ok=True)
-        payload = asdict(self)
-        payload["all_exact"] = self.all_exact
-        payload["worst_overhead"] = self.worst_overhead
-        target.write_text(json.dumps(payload, indent=2) + "\n")
-        return target
+        return export_json(self, path, "BENCH_CHAOS_JSON", BENCH_PATH,
+                           all_exact=self.all_exact,
+                           worst_overhead=self.worst_overhead)
+
+    def tables(self) -> list[Table]:
+        return [
+            Table(f"XEXT17: chaos sweep over {self.num_rooms} rooms x "
+                  f"{self.switches_per_room} switches, {self.num_shards} "
+                  f"shards / {self.workers} workers "
+                  f"(host has {self.cpu_count} CPU core(s))", [
+                ("serial reference", f"{self.serial_wall_s:.2f} s wall"),
+                ("supervised, no faults",
+                 f"{self.baseline_wall_s:.2f} s wall  "
+                 f"identical {self.baseline_identical}"),
+            ]),
+            Table("XEXT17: fault mix vs recovery", [
+                ("mix", "wall s", "overhead", "attempts", "crashes",
+                 "hedged", "resumed", "rebuilds", "exact", "failures"),
+                *((p.name, f"{p.wall_s:.2f}", f"{p.recovery_overhead:.2f}x",
+                   p.attempts_total, p.crashes_detected, p.stragglers_hedged,
+                   p.rooms_resumed, p.pool_rebuilds, p.identical, p.failures)
+                  for p in self.points),
+            ]),
+            Table("XEXT17: verdict", [
+                ("exact recovery",
+                 f"all points bit-identical to fault-free serial reference: "
+                 f"{self.all_exact}"),
+                ("worst overhead", f"{self.worst_overhead:.2f}x baseline"),
+            ]),
+        ]
 
 
 def chaos_experiment(smoke: bool = False,

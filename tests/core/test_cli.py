@@ -60,6 +60,43 @@ class TestRun:
         assert "detected: True" in out
 
 
+#: The entries the tests above do not drive, with the flags that keep
+#: them fast.  ``--smoke`` shrinks the xext sweeps.
+OTHER_ENTRIES = [
+    ("fig3", []), ("fig4cd", []), ("fig5ab", []), ("fig6", []),
+    ("fig7", []), ("xbase", []), ("xext", []), ("xext12", ["--smoke"]),
+    ("xext13", ["--smoke"]), ("xext14", ["--smoke"]),
+    ("xext15", ["--smoke"]), ("xext17", ["--smoke"]),
+]
+
+
+@pytest.mark.parametrize("name, flags", OTHER_ENTRIES,
+                         ids=[name for name, _flags in OTHER_ENTRIES])
+def test_run_prints_every_result_table(name, flags, tmp_path, monkeypatch,
+                                       capsys):
+    """Each entry exits 0, prints every table of every result it ran,
+    and writes JSON records only where the BENCH_* variables point."""
+    for variable in ("BENCH_FLEET_JSON", "BENCH_WORKLOAD_JSON",
+                     "BENCH_CHAOS_JSON"):
+        monkeypatch.setenv(variable, str(tmp_path / "out" / variable))
+    monkeypatch.chdir(tmp_path)
+    description, runner = EXPERIMENTS[name]
+    results = []
+
+    def recording_runner(args):
+        results.extend(runner(args))
+        return results
+
+    monkeypatch.setitem(EXPERIMENTS, name, (description, recording_runner))
+    assert main(["run", name, *flags]) == 0
+    out = capsys.readouterr().out
+    titles = [table.title for result in results for table in result.tables()]
+    assert titles
+    for title in titles:
+        assert f"== {title}" in out
+    assert not (tmp_path / ".benchmarks").exists()
+
+
 class TestRender:
     @pytest.mark.parametrize("scene", ["knock", "chirps", "song"])
     def test_render_writes_wav(self, scene, tmp_path, capsys):
