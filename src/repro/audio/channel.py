@@ -30,9 +30,10 @@ vectorized fast path built around
   raised-cosine envelopes (memoized in :mod:`repro.audio.synth`),
   per-``(listener, emitter)`` distance/delay/loss geometry, per-bed
   noise gains, and the ``arange`` ramps behind looping-bed index plans;
-* **batched tone synthesis** that groups overlapping tone segments by
-  length and evaluates all phases in a group with one broadcasted
-  ``np.sin`` instead of one call per tone × echo tap;
+* **flat tone synthesis**: every audible (tone, echo tap) segment of a
+  window is spread over its samples with one ``np.repeat``, evaluated
+  with one ``np.sin`` and summed with one ordered ``np.bincount``
+  instead of one call per tone × echo tap (or per segment length);
 * a bounded **window render memo** keyed by ``(listener, start, end)``
   so co-located microphone-array stations and repeated polls of the
   same window reuse the mixed buffer.  ``play_tone`` / ``add_noise`` /
@@ -40,8 +41,13 @@ vectorized fast path built around
 
 :meth:`render_at_reference` keeps the original per-tone scalar loop;
 ``tests/audio/test_channel_equivalence.py`` pins the fast path to it
-within 1e-9 (bit-identical in practice — both paths evaluate the same
-IEEE operations per sample in the same order).
+(exactly in ``TestBitIdentity``, within 1e-9 elsewhere).  The two are
+bit-identical because the fast path keeps three rules: each sample is
+the same IEEE operations in the same order (``coeff * step / rate``,
+``sin``, ``* amplitude``, ``* envelope``), segments are summed into a
+zeroed buffer in schedule order (tone insertion, then tap), and the
+per-tone dB→amplitude step stays on Python ``**`` — numpy's SIMD
+``power`` need not round like libm.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -79,6 +86,11 @@ WINDOW_CACHE_SIZE = 128
 
 #: Geometry cache flush threshold: (listener, emitter) position pairs.
 GEOMETRY_CACHE_SIZE = 65536
+
+#: ``2.0 * math.pi`` and ``math.sqrt(2.0)``, as the scalar reference
+#: path evaluates them (``2.0 * math.pi * f`` is ``TWO_PI * f``).
+TWO_PI = 2.0 * math.pi
+SQRT2 = math.sqrt(2.0)
 
 
 @lru_cache(maxsize=256)
@@ -243,7 +255,10 @@ class AcousticChannel:
         spec, position)`` (clock skew) and every rendered tone via
         ``tone_level_adjust_db(tone)`` — ``None`` mutes the tone
         (speaker dropout), a float shifts its level (degradation).
-        Both render paths consult it identically, so the fast/reference
+        ``render_at`` asks per tone only while the model's
+        ``adjusts_tone_levels`` is true (the answer is a no-op
+        otherwise), so an idle model costs one check per render.  Both
+        render paths apply the same adjustments, so the fast/reference
         equivalence holds under any fault state.  Installing, clearing,
         and every fault state change must invalidate the window memo.
         """
@@ -466,12 +481,13 @@ class AcousticChannel:
         observed = self._obs is not None
         wall_start = _time.perf_counter() if observed else 0.0
         count = int(round((end - start) * self.sample_rate))
-        mix = np.zeros(count)
         if count:
-            self._render_tones_batched(mix, listener, start)
+            mix = self._render_tones(listener, start, count)
             for bed in self._noise_beds:
                 gain, delay = self._bed_geometry_for(listener, bed)
                 self._mix_noise(mix, bed, start, gain, delay)
+        else:
+            mix = np.zeros(0)
         if observed:
             self._m_render_ms.observe((_time.perf_counter() - wall_start) * 1e3)
         mix.setflags(write=False)
@@ -480,20 +496,23 @@ class AcousticChannel:
             self._window_cache.popitem(last=False)
         return AudioSignal(mix, self.sample_rate)
 
-    def _render_tones_batched(
-        self, mix: np.ndarray, listener: Position, window_start: float
-    ) -> None:
-        """Mix every audible tone (and echo) into ``mix``, synthesizing
-        same-length segments together with one broadcasted ``np.sin``.
+    def _render_tones(
+        self, listener: Position, window_start: float, count: int
+    ) -> np.ndarray:
+        """A fresh ``count``-sample buffer holding every audible tone
+        (and echo) of the window, synthesized flat: all segments share
+        one ``np.sin`` and one ordered accumulation.
 
-        Matches :meth:`_mix_tone` bit-for-bit: the per-element phase /
-        amplitude / envelope arithmetic is evaluated in the same order,
-        and segments are accumulated in schedule order.
+        Matches :meth:`_mix_tone` bit for bit: each sample's phase /
+        amplitude / envelope arithmetic is the same IEEE operations in
+        the same order, and ``np.bincount`` adds the segments into its
+        zeroed output in schedule order (tone insertion, then tap), the
+        order the reference loop adds them into its zeroed buffer.
         """
         if not self._index_entries:
-            return
-        count = len(mix)
-        window_end = window_start + count / self.sample_rate
+            return np.zeros(count)
+        rate = self.sample_rate
+        window_end = window_start + count / rate
         # Candidate horizon: a tone whose *emission* ended more than the
         # worst-case (propagation + echo) delay before the window opens
         # cannot reach it; everything older bisects away.  Arrival-side
@@ -506,25 +525,28 @@ class AcousticChannel:
         if observed:
             self._m_bisected.inc(first)
         if first >= len(self._index_entries):
-            return
+            return np.zeros(count)
         starts = self._index_starts_array
         if starts is None:
             starts = self._index_starts_array = np.asarray(self._index_starts)
-        candidates = np.nonzero(starts[first:] < window_end)[0]
+        candidates = np.flatnonzero(starts[first:] < window_end)
         if observed:
             self._m_scanned.inc(len(candidates))
-        if len(candidates) == 0:
-            return
 
         taps = ((0.0, 0.0),) + self.echo_taps
         entries = self._index_entries
         fault = self._fault_model
+        if fault is not None and not fault.adjusts_tone_levels:
+            fault = None
         # One entry per audible (tone, tap) segment:
         # (sequence, tap_index, lo, offset, length, coeff, amplitude, envelope)
         segments: list[
             tuple[int, int, int, int, int, float, float, np.ndarray]
         ] = []
-        for candidate in candidates:
+        # duration -> (tone length in samples, envelope); a room's tones
+        # share a handful of durations.
+        shapes: dict[float, tuple[int, np.ndarray]] = {}
+        for candidate in candidates.tolist():
             sequence, tone = entries[first + candidate]
             if fault is not None:
                 fault_adjust = fault.tone_level_adjust_db(tone)
@@ -536,67 +558,68 @@ class AcousticChannel:
                 listener, tone.position
             )
             spec = tone.spec
-            tone_len = int(round(spec.duration * self.sample_rate))
-            envelope = None
+            duration = spec.duration
+            shape = shapes.get(duration)
+            if shape is None:
+                tone_len = int(round(duration * rate))
+                shape = shapes[duration] = (tone_len, raised_cosine_envelope(
+                    tone_len, rate, signalling_ramp(duration)
+                ))
+            tone_len, envelope = shape
             for tap_index, (extra_delay, extra_loss) in enumerate(taps):
                 arrival = tone.start_time + (delay + extra_delay)
-                departure = arrival + spec.duration
+                departure = arrival + duration
                 if departure <= window_start or arrival >= window_end:
                     continue
                 overlap_start = max(arrival, window_start)
                 overlap_end = min(departure, window_end)
-                lo = int(round((overlap_start - window_start) * self.sample_rate))
-                hi = int(round((overlap_end - window_start) * self.sample_rate))
+                lo = int(round((overlap_start - window_start) * rate))
+                hi = int(round((overlap_end - window_start) * rate))
                 hi = min(hi, count)
                 if hi <= lo:
                     continue
-                offset = int(round((overlap_start - arrival) * self.sample_rate))
+                offset = int(round((overlap_start - arrival) * rate))
                 length = min(offset + (hi - lo), tone_len) - offset
                 if length <= 0:
                     continue
-                if envelope is None:
-                    envelope = raised_cosine_envelope(
-                        tone_len, self.sample_rate, signalling_ramp(spec.duration)
-                    )
                 level = spec.level_db - loss_db - extra_loss
                 if fault_adjust:
                     level += fault_adjust
-                amplitude = db_to_amplitude(level) * math.sqrt(2.0)
-                coeff = 2.0 * math.pi * spec.frequency
                 segments.append(
                     (sequence, tap_index, lo, offset, length,
-                     coeff, amplitude, envelope)
+                     TWO_PI * spec.frequency,
+                     db_to_amplitude(level) * SQRT2, envelope)
                 )
         if not segments:
-            return
+            return np.zeros(count)
 
-        # Batch synthesis: group segments by length, one sin per group.
-        by_length: dict[int, list[int]] = {}
-        for index, segment in enumerate(segments):
-            by_length.setdefault(segment[4], []).append(index)
-        rows: list[np.ndarray | None] = [None] * len(segments)
-        for length, indices in by_length.items():
-            offsets = np.array([segments[i][3] for i in indices], dtype=np.int64)
-            coeffs = np.array([segments[i][5] for i in indices])
-            amplitudes = np.array([segments[i][6] for i in indices])
-            steps = offsets[:, None] + _sample_ramp(length)[None, :]
-            block = np.sin(coeffs[:, None] * steps / self.sample_rate)
-            block *= amplitudes[:, None]
-            envelopes = np.stack([
-                segments[i][7][segments[i][3] : segments[i][3] + length]
-                for i in indices
-            ])
-            block *= envelopes
-            for row, i in enumerate(indices):
-                rows[i] = block[row]
-
-        # Accumulate in schedule order (tone insertion, then tap order)
-        # so the fast path sums bit-identically to the reference loop.
-        for index in sorted(
-            range(len(segments)), key=lambda i: segments[i][:2]
-        ):
-            _seq, _tap, lo, _offset, length, *_rest = segments[index]
-            mix[lo : lo + length] += rows[index]
+        # Schedule order; (sequence, tap) pairs are unique, so the sort
+        # never compares further fields.
+        segments.sort()
+        lengths = [segment[4] for segment in segments]
+        # Per segment: sample offset into its tone and window position,
+        # both shifted back by where the segment starts in the flat
+        # buffer, so adding the flat sample ramp yields each sample's
+        # step / position.  Integers this small are exact in float64,
+        # and numpy multiplies an integer step as its float64 value.
+        params = np.array([
+            (offset - flat, lo - flat, coeff, amplitude)
+            for (_seq, _tap, lo, offset, _len, coeff, amplitude, _env), flat
+            in zip(segments, accumulate(lengths, initial=0))
+        ])
+        per_sample = np.repeat(params.T, lengths, axis=1)
+        ramp = np.arange(per_sample.shape[1], dtype=np.float64)
+        steps, positions = per_sample[:2] + ramp
+        samples = per_sample[2] * steps
+        samples /= rate
+        np.sin(samples, out=samples)
+        samples *= per_sample[3]
+        samples *= np.concatenate([
+            envelope[offset:offset + length]
+            for _seq, _tap, _lo, offset, length, _coeff, _amp, envelope
+            in segments
+        ])
+        return np.bincount(positions.astype(np.intp), samples, count)
 
     # ------------------------------------------------------------------
     # Rendering — scalar reference path

@@ -240,45 +240,55 @@ class FrequencyDetector:
         Sidelobes are rejected, then the level floor applies (either
         order gives the same survivors: a candidate only shadows one at
         least ``SIDELOBE_REJECTION_DB`` quieter).  Each survivor claims
-        its nearest watched frequency within tolerance; the loudest
-        claim wins.  Events come back sorted by frequency.
+        its nearest watched frequency within tolerance (the lower one on
+        an exact tie); the first, loudest claim wins.  Events come back
+        sorted by frequency.
         """
         events: dict[float, DetectionEvent] = {}
-        for peak in self._reject_sidelobes(candidates):
-            level_db = peak.level_db
+        for frequency, level_db in _reject_sidelobes(
+            [(c.frequency, c.level_db) for c in candidates]
+        ):
             if level_db < self.min_level_db:
                 continue
-            watched = self._match(peak.frequency)
+            watched = self._match(frequency)
             if watched is not None and watched not in events:
                 events[watched] = DetectionEvent(
-                    watched, peak.frequency, level_db, time
+                    watched, frequency, level_db, time
                 )
-        return sorted(events.values(), key=lambda e: e.frequency)
-
-    @staticmethod
-    def _reject_sidelobes(peaks: list) -> list:
-        """Drop peaks that are plausibly window sidelobes of a stronger
-        nearby peak (see ``SIDELOBE_REJECTION_DB``), including a loud
-        neighbour's leakage *at* a watched Goertzel bin."""
-        kept = []
-        for peak in peaks:  # peaks arrive sorted by descending magnitude
-            shadowed = any(
-                abs(strong.frequency - peak.frequency) <= SIDELOBE_RADIUS_HZ
-                and strong.level_db - peak.level_db >= SIDELOBE_REJECTION_DB
-                for strong in kept
-            )
-            if not shadowed:
-                kept.append(peak)
-        return kept
+        return [events[watched] for watched in sorted(events)]
 
     def _match(self, measured: float) -> float | None:
         """The watched frequency nearest ``measured``, if within
         tolerance; on an exact tie the lower frequency wins."""
-        # Only the two neighbours of the insertion point can be nearest;
-        # min() keeps the lower one on an exact tie.
-        index = bisect_left(self.watched, measured)
-        neighbours = self.watched[max(index - 1, 0):index + 1]
-        best = min(neighbours, key=lambda f: abs(f - measured))
+        # Only the two neighbours of the insertion point can be nearest.
+        watched = self.watched
+        index = bisect_left(watched, measured)
+        if index == 0:
+            best = watched[0]
+        elif index == len(watched):
+            best = watched[-1]
+        else:
+            lower, upper = watched[index - 1], watched[index]
+            best = upper if abs(upper - measured) < abs(lower - measured) else lower
         if abs(best - measured) <= self.tolerance_hz:
             return best
         return None
+
+
+def _reject_sidelobes(
+    candidates: list[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """The ``(frequency, level_db)`` candidates (loudest first) that are
+    not plausibly window sidelobes of a stronger nearby kept one (see
+    ``SIDELOBE_REJECTION_DB``), including a loud neighbour's leakage
+    *at* a watched Goertzel bin.  Each level is computed once, by the
+    caller, instead of once per pair."""
+    kept: list[tuple[float, float]] = []
+    for frequency, level_db in candidates:
+        for strong_frequency, strong_db in kept:
+            if (abs(strong_frequency - frequency) <= SIDELOBE_RADIUS_HZ
+                    and strong_db - level_db >= SIDELOBE_REJECTION_DB):
+                break
+        else:
+            kept.append((frequency, level_db))
+    return kept

@@ -54,6 +54,23 @@ def one_sided_scale(n_fft: int) -> np.ndarray:
     return scale
 
 
+def median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` of a non-empty 1-D float array, bit
+    for bit, without ``np.median``'s generic-axis machinery (most of its
+    cost on a one-window spectrum): the same order statistics, the same
+    mean of the middle one or two (a sum that starts from ``0.0``), and
+    NaN whenever a NaN is present (the partition puts it last).
+    """
+    half = len(values) // 2
+    if len(values) % 2:
+        part = np.partition(values, (half, -1))
+        middle = 0.0 + part[half]
+    else:
+        part = np.partition(values, (half - 1, half, -1))
+        middle = (0.0 + part[half - 1] + part[half]) / 2.0
+    return math.nan if math.isnan(part[-1]) else float(middle)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """A one-sided magnitude spectrum of an analysis window.
@@ -109,7 +126,7 @@ class Spectrum:
         """
         if len(self.magnitudes) == 0:
             return 0.0
-        return float(np.median(self.magnitudes))
+        return median(self.magnitudes)
 
     def noise_floor_db(self) -> float:
         """The noise floor in dB SPL."""
@@ -229,7 +246,11 @@ class SpectrumAnalyzer:
         """Locate tonal peaks standing ``threshold_db`` above the noise floor.
 
         Peaks are local maxima refined with three-point parabolic
-        interpolation, returned sorted by descending magnitude.
+        interpolation, returned sorted by descending magnitude (equal
+        magnitudes in ascending frequency).  Every step is a whole-array
+        operation over the candidate bins, element-for-element the same
+        IEEE arithmetic as the per-peak loop kept as the test oracle in
+        ``tests/audio/test_fft.py``.
         """
         mags = spectrum.magnitudes
         freqs = spectrum.frequencies
@@ -239,32 +260,35 @@ class SpectrumAnalyzer:
         min_magnitude = floor * 10.0 ** (threshold_db / 20.0)
         high_limit = max_frequency if max_frequency is not None else freqs[-1]
 
-        candidates = np.where(
-            (mags[1:-1] > mags[:-2])
-            & (mags[1:-1] >= mags[2:])
-            & (mags[1:-1] >= min_magnitude)
-        )[0] + 1
+        centre = mags[1:-1]
+        index = np.flatnonzero(
+            (centre > mags[:-2]) & (centre >= mags[2:]) & (centre >= min_magnitude)
+        ) + 1
+        freq = freqs[index]
+        # Frequencies ascend, so a band covering both ends keeps all.
+        if not (min_frequency <= freqs[0] and freqs[-1] <= high_limit):
+            in_band = (min_frequency <= freq) & (freq <= high_limit)
+            index = index[in_band]
+            freq = freq[in_band]
+        left, centre, right = mags[index - 1], mags[index], mags[index + 1]
+        denominator = left - 2.0 * centre + right
+        # A flat top (zero denominator) keeps the bin centre.
+        offset = np.clip(
+            np.divide(0.5 * (left - right), denominator,
+                      out=np.zeros(len(index)), where=denominator != 0.0),
+            -0.5, 0.5,
+        )
+        refined = freq + offset * spectrum.bin_width
+        prominence = 20.0 * np.log10(centre / floor)
 
-        peaks = []
-        for index in candidates:
-            freq = freqs[index]
-            if not min_frequency <= freq <= high_limit:
-                continue
-            left, centre, right = mags[index - 1], mags[index], mags[index + 1]
-            denominator = left - 2.0 * centre + right
-            if denominator != 0.0:
-                offset = 0.5 * (left - right) / denominator
-                offset = float(np.clip(offset, -0.5, 0.5))
-            else:
-                offset = 0.0
-            refined = freq + offset * spectrum.bin_width
-            prominence = 20.0 * np.log10(centre / floor)
-            peaks.append(SpectralPeak(float(refined), float(centre), float(prominence)))
-
-        peaks.sort(key=lambda p: p.magnitude, reverse=True)
-        if max_peaks is not None:
-            peaks = peaks[:max_peaks]
-        return peaks
+        # Loudest first; the stable sort keeps equal magnitudes in bin
+        # order.
+        order = np.argsort(-centre, kind="stable")[:max_peaks]
+        return [
+            SpectralPeak(*values)
+            for values in zip(refined[order].tolist(), centre[order].tolist(),
+                              prominence[order].tolist())
+        ]
 
     def timed_analyze(self, signal: AudioSignal) -> tuple[Spectrum, float]:
         """Analyze a window and report elapsed wall-clock seconds.

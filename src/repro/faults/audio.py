@@ -189,6 +189,13 @@ class AcousticFaults:
             start_time = max(0.0, start_time + skew)
         return start_time, spec, position
 
+    @property
+    def adjusts_tone_levels(self) -> bool:
+        """Whether :meth:`tone_level_adjust_db` can return anything but
+        ``0.0``: only once a dropout or degradation is registered.  The
+        channel skips the per-tone call while this is false."""
+        return bool(self._dropouts or self._degradations)
+
     def tone_level_adjust_db(self, tone: ScheduledTone) -> float | None:
         """Consulted per rendered tone: ``None`` mutes it, a float is
         added to its emission level (degradation loss is negative)."""

@@ -31,6 +31,7 @@ Numerology defaults (why these numbers):
 from __future__ import annotations
 
 import io
+import math
 import pickle
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -44,6 +45,29 @@ DEFAULT_LISTEN_INTERVAL = 1.0 / 30.0
 
 class FleetConfigError(ValueError):
     """A fleet spec cannot cross the process boundary (or is invalid)."""
+
+
+#: Room knobs that must be finite numbers, and those that must also be
+#: positive.  ``not value > 0`` rejects NaN as well, which a plain
+#: ``value <= 0`` lets through.
+_FINITE_KNOBS = ("horizon", "emission_rate_hz", "listen_interval",
+                 "level_db", "low_hz", "guard_hz")
+_POSITIVE_KNOBS = ("horizon", "emission_rate_hz", "listen_interval",
+                   "tone_duration", "guard_hz")
+
+
+def _check_room_knobs(spec: "RoomSpec | FleetSpec") -> None:
+    """Reject a non-finite or non-positive room knob by name, shared by
+    :class:`RoomSpec` and :class:`FleetSpec` so a malformed fleet fails
+    when it is built, not as an empty run."""
+    for name in _FINITE_KNOBS:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise FleetConfigError(f"{name} must be finite, got {value}")
+    for name in _POSITIVE_KNOBS:
+        value = getattr(spec, name)
+        if not value > 0:
+            raise FleetConfigError(f"{name} must be positive, got {value}")
 
 
 def ensure_picklable(obj: object, context: str) -> None:
@@ -135,12 +159,7 @@ class RoomSpec:
             raise FleetConfigError(
                 f"num_switches must be >= 1, got {self.num_switches}"
             )
-        if self.horizon <= 0:
-            raise FleetConfigError(f"horizon must be positive, got {self.horizon}")
-        if self.emission_rate_hz <= 0:
-            raise FleetConfigError(
-                f"emission_rate_hz must be positive, got {self.emission_rate_hz}"
-            )
+        _check_room_knobs(self)
         gap = 1.0 / self.emission_rate_hz - self.tone_duration
         if gap < 2.0 * self.listen_interval:
             raise FleetConfigError(
@@ -214,6 +233,7 @@ class FleetSpec:
             raise FleetConfigError(
                 f"switches_per_room must be >= 1, got {self.switches_per_room}"
             )
+        _check_room_knobs(self)
 
     @property
     def num_switches(self) -> int:

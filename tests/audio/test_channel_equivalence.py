@@ -108,6 +108,47 @@ class TestToneEquivalence:
             _assert_paths_match(channel, LISTENER, *window)
 
 
+class TestBitIdentity:
+    """The 1e-9 contract above, tightened to exact equality: the flat
+    synthesis must add every sample's segments in the reference's
+    order with the reference's arithmetic.  Summation order or a
+    reassociated phase (``* (1 / rate)``) moves samples by an ulp,
+    far inside 1e-9, so only an exact comparison sees it."""
+
+    @pytest.mark.parametrize("echo_taps", [(), ((0.003, 4.0), (0.011, 9.0))])
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_fleet_sized_windows_are_exact(self, echo_taps, seed):
+        channel = busy_channel(echo_taps=echo_taps, seed=seed)
+        for start in np.arange(0.0, 2.2, 1 / 30):
+            end = start + 1 / 30
+            fast = channel.render_at(LISTENER, start, end)
+            reference = channel.render_at_reference(LISTENER, start, end)
+            assert np.array_equal(fast.samples, reference.samples)
+
+    def test_fault_adjusted_levels_are_exact(self):
+        from repro.faults import FaultHarness
+        from repro.net.sim import Simulator
+
+        channel = busy_channel(echo_taps=((0.005, 6.0),))
+        clean = busy_channel(echo_taps=((0.005, 6.0),))
+        faults = FaultHarness(Simulator(), seed=3).acoustic(channel)
+        emitters = [tone.position for tone in channel.scheduled_tones]
+        for index, emitter in enumerate(emitters[:20]):
+            faults.degrade_speaker(emitter, 0.0, 2.0, 0.7 + 1.3 * index)
+        faults.drop_speaker(emitters[20], 0.0, 2.0)
+        assert faults.adjusts_tone_levels
+        for start in np.arange(0.0, 2.2, 0.05):
+            fast = channel.render_at(LISTENER, start, start + 0.05)
+            reference = channel.render_at_reference(LISTENER, start,
+                                                    start + 0.05)
+            assert np.array_equal(fast.samples, reference.samples)
+        # The faults really moved the audio.
+        assert not np.array_equal(
+            channel.render_at(LISTENER, 0.0, 2.2).samples,
+            clean.render_at(LISTENER, 0.0, 2.2).samples,
+        )
+
+
 class TestSeams:
     def test_consecutive_windows_concatenate_bit_identically(self):
         """Polling [0, 2) as twenty 100 ms windows must equal the one

@@ -260,6 +260,19 @@ def test_events_match_the_reference_rules(scenario, min_level_db):
     )
 
 
+@pytest.mark.parametrize(("measured", "expected"), [
+    (1010.0, [1000.0]),   # exact tie between neighbours: the lower wins
+    (1011.0, [1020.0]),
+    (995.0, [1000.0]),    # below the whole watch list
+    (1029.0, [1020.0]),   # above it
+    (1031.0, []),         # past the tolerance
+])
+def test_nearest_watched_frequency_claims_the_peak(measured, expected):
+    detector = FrequencyDetector([1000.0, 1020.0], tolerance_hz=10.0)
+    peak = SpectralPeak(measured, db_to_amplitude(60.0), 0.0)
+    assert [e.frequency for e in detector._events([peak], 0.0)] == expected
+
+
 class TestFFTSpecifics:
     def test_twenty_hz_separation_resolved(self):
         """The paper's separability limit: two tones 20 Hz apart, both

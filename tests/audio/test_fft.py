@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.audio import (
     AudioSignal,
+    SpectralPeak,
+    Spectrum,
     SpectrumAnalyzer,
     power_spectrogram,
     sine_tone,
     white_noise,
 )
+from repro.audio.fft import median
 
 
 class TestCalibration:
@@ -112,6 +117,110 @@ class TestPeaks:
         assert analyzer.find_peaks(spectrum, 10.0) == []
 
 
+def find_peaks_oracle(spectrum, threshold_db=10.0, min_frequency=0.0,
+                      max_frequency=None, max_peaks=None):
+    """The per-peak loop ``SpectrumAnalyzer.find_peaks`` replaced, kept
+    as the scalar reference: one parabolic refinement, clip and
+    prominence per candidate bin, then a stable loudest-first sort."""
+    mags = spectrum.magnitudes
+    freqs = spectrum.frequencies
+    if len(mags) < 3:
+        return []
+    floor = max(float(np.median(mags)), 1e-12)
+    min_magnitude = floor * 10.0 ** (threshold_db / 20.0)
+    high_limit = max_frequency if max_frequency is not None else freqs[-1]
+
+    candidates = np.where(
+        (mags[1:-1] > mags[:-2])
+        & (mags[1:-1] >= mags[2:])
+        & (mags[1:-1] >= min_magnitude)
+    )[0] + 1
+
+    peaks = []
+    for index in candidates:
+        freq = freqs[index]
+        if not min_frequency <= freq <= high_limit:
+            continue
+        left, centre, right = mags[index - 1], mags[index], mags[index + 1]
+        denominator = left - 2.0 * centre + right
+        if denominator != 0.0:
+            offset = 0.5 * (left - right) / denominator
+            offset = float(np.clip(offset, -0.5, 0.5))
+        else:
+            offset = 0.0
+        refined = freq + offset * spectrum.bin_width
+        prominence = 20.0 * np.log10(centre / floor)
+        peaks.append(SpectralPeak(float(refined), float(centre),
+                                  float(prominence)))
+
+    peaks.sort(key=lambda p: p.magnitude, reverse=True)
+    if max_peaks is not None:
+        peaks = peaks[:max_peaks]
+    return peaks
+
+
+@st.composite
+def peak_queries(draw):
+    """A spectrum plus ``find_peaks`` arguments, biased toward the cases
+    where a rewrite can drift from the loop: magnitudes from a small
+    pool (plateaus, equal peaks whose order is a tie-break, flat tops),
+    zero bins (a zero noise floor), band edges exactly on bin
+    frequencies, ``max_peaks`` cuts, and spectra shorter than 3 bins."""
+    count = draw(st.one_of(st.integers(0, 3), st.integers(4, 60)))
+    bin_width = draw(st.sampled_from([5.0, 15.0, 31.25, 0.1]))
+    pool = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-9, 1e3), st.integers(1, 8).map(float)),
+        min_size=1, max_size=6,
+    ))
+    if draw(st.booleans()):
+        # A value one ulp under a plateau: ``left - 2*centre + right``
+        # can round to exactly 0 there (a flat top with a peak).
+        pool += [float(np.nextafter(value, 0.0)) for value in pool if value]
+    magnitudes = np.array(draw(st.lists(st.sampled_from(pool),
+                                        min_size=count, max_size=count)))
+    frequencies = np.arange(count) * bin_width
+    spectrum = Spectrum(frequencies, magnitudes, 16_000, 0.05)
+    edges = st.one_of(st.sampled_from(list(frequencies) or [0.0]),
+                      st.floats(-10.0, count * bin_width + 10.0))
+    return spectrum, {
+        "threshold_db": draw(st.sampled_from([-20.0, 0.0, 3.0, 10.0])),
+        "min_frequency": draw(st.one_of(st.just(0.0), edges)),
+        "max_frequency": draw(st.one_of(st.none(), edges)),
+        "max_peaks": draw(st.sampled_from([None, 0, 1, 2, 5])),
+    }
+
+
+FLAT_TOP = Spectrum(np.arange(6) * 5.0,
+                    np.array([0.0, np.nextafter(1.0, 0.0), 1.0, 1.0, 0.0, 0.0]),
+                    16_000, 0.05)
+
+
+@settings(max_examples=400, deadline=None)
+@given(query=peak_queries())
+@example(query=(FLAT_TOP, {"threshold_db": -20.0, "min_frequency": 0.0,
+                           "max_frequency": None, "max_peaks": None}))
+def test_find_peaks_matches_the_scalar_loop(query):
+    spectrum, kwargs = query
+    assert SpectrumAnalyzer().find_peaks(spectrum, **kwargs) == (
+        find_peaks_oracle(spectrum, **kwargs)
+    )
+
+
+def test_find_peaks_matches_the_scalar_loop_on_real_windows(analyzer):
+    """Dense tone mixes in noise, as a fleet room hears them."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        mix = AudioSignal.from_components(
+            [sine_tone(float(f), 1 / 30, level_db=float(level))
+             for f, level in zip(rng.uniform(400, 3000, 12),
+                                 rng.uniform(40, 80, 12))]
+        ).mix(white_noise(1 / 30, level_db=30.0, rng=rng))
+        spectrum = analyzer.analyze(mix)
+        assert analyzer.find_peaks(spectrum, 10.0) == (
+            find_peaks_oracle(spectrum, 10.0)
+        )
+
+
 class TestTiming:
     def test_timed_analyze_returns_elapsed(self, analyzer):
         tone = sine_tone(1000, 0.05)
@@ -165,3 +274,22 @@ class TestSpectrogram:
         assert len(times) == 0
         assert len(freqs) > 0
         assert mags.shape == (0, len(freqs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(
+    st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+              st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.5])),
+    min_size=1, max_size=40,
+))
+def test_median_matches_numpy_median(values):
+    """The spectrum noise floor's median is ``np.median``, bit for bit
+    (even and odd counts, ties, signed zeros, infinities and NaN)."""
+    values = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge pairs sum to inf
+        expected = float(np.median(values))
+        got = median(values)
+    if np.isnan(expected):
+        assert np.isnan(got)
+    else:
+        assert got == expected and np.signbit(got) == np.signbit(expected)

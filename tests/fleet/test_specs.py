@@ -45,6 +45,29 @@ def test_room_spec_rejects_bad_scalars(kwargs):
         RoomSpec(**kwargs)
 
 
+@pytest.mark.parametrize(("field", "value"), [
+    ("horizon", float("nan")),
+    ("horizon", float("inf")),
+    ("level_db", float("nan")),
+    ("guard_hz", float("nan")),
+    ("tone_duration", -1.0),
+    ("low_hz", float("-inf")),
+    ("listen_interval", 0.0),
+    ("emission_rate_hz", float("nan")),
+    ("guard_hz", 0.0),
+])
+@pytest.mark.parametrize("kind", ["fleet", "room"])
+def test_malformed_knobs_fail_by_name(kind, field, value):
+    """Each of these used to build, run and report delivery 0.0 (a NaN
+    passes ``<= 0``).  Only the spec is built: an infinite horizon
+    would never finish scheduling chirps."""
+    with pytest.raises(FleetConfigError, match=field):
+        if kind == "fleet":
+            FleetSpec(num_rooms=1, switches_per_room=2, **{field: value})
+        else:
+            RoomSpec(room_id=0, num_switches=2, **{field: value})
+
+
 def test_fault_plan_validation():
     with pytest.raises(FleetConfigError):
         FaultPlan(speaker_outage_rate=1.5)
