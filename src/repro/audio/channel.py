@@ -30,10 +30,12 @@ vectorized fast path built around
   raised-cosine envelopes (memoized in :mod:`repro.audio.synth`),
   per-``(listener, emitter)`` distance/delay/loss geometry, per-bed
   noise gains, and the ``arange`` ramps behind looping-bed index plans;
-* **flat tone synthesis**: every audible (tone, echo tap) segment of a
-  window is spread over its samples with one ``np.repeat``, evaluated
-  with one ``np.sin`` and summed with one ordered ``np.bincount``
-  instead of one call per tone × echo tap (or per segment length);
+* a bounded **tone waveform memo** keyed by ``(frequency, duration,
+  received level)``: a tone's samples depend on nothing else, so each
+  is synthesized once, whole, and every window it overlaps adds a
+  slice of it (``mix[lo:lo + n] += wave[offset:offset + n]``).  A
+  tone heard in only one window pays for its full length rather than
+  its overlap;
 * a bounded **window render memo** keyed by ``(listener, start, end)``
   so co-located microphone-array stations and repeated polls of the
   same window reuse the mixed buffer.  ``play_tone`` / ``add_noise`` /
@@ -41,13 +43,14 @@ vectorized fast path built around
 
 :meth:`render_at_reference` keeps the original per-tone scalar loop;
 ``tests/audio/test_channel_equivalence.py`` pins the fast path to it
-(exactly in ``TestBitIdentity``, within 1e-9 elsewhere).  The two are
-bit-identical because the fast path keeps three rules: each sample is
-the same IEEE operations in the same order (``coeff * step / rate``,
-``sin``, ``* amplitude``, ``* envelope``), segments are summed into a
-zeroed buffer in schedule order (tone insertion, then tap), and the
-per-tone dB→amplitude step stays on Python ``**`` — numpy's SIMD
-``power`` need not round like libm.
+(exactly in ``TestBitIdentity`` and ``TestToneMemo``, within 1e-9
+elsewhere).  The two are bit-identical because the fast path keeps
+three rules: each waveform sample is the same IEEE operations in the
+same order (``TWO_PI * f * step / rate``, ``sin``, ``* amplitude``,
+``* envelope``), segments are added into a zeroed buffer in schedule
+order (tone insertion, then tap), and the per-tone dB→amplitude step
+stays on Python ``**`` — numpy's SIMD ``power`` need not round like
+libm.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -83,6 +85,12 @@ PRUNE_PROPAGATION_ALLOWANCE = 50.0 / SPEED_OF_SOUND
 #: microphone array's stations re-polling one shared window plus the
 #: look-back of a few co-located listeners.
 WINDOW_CACHE_SIZE = 128
+
+#: Tone waveform memo bound: total float64 samples (8 MiB) across a
+#: channel's cached whole-tone waveforms.  A 20-switch room's chirps
+#: take ~10k; the bound only matters for long deployments whose tone
+#: levels keep changing (fault degradation, many listener distances).
+TONE_CACHE_SAMPLES = 1 << 20
 
 #: Geometry cache flush threshold: (listener, emitter) position pairs.
 GEOMETRY_CACHE_SIZE = 65536
@@ -212,6 +220,13 @@ class AcousticChannel:
         self._window_cache: OrderedDict[
             tuple[Position, float, float], np.ndarray
         ] = OrderedDict()
+        # (frequency, duration, level_db) -> whole-tone waveform
+        # (read-only ndarray), least recently used first; the total
+        # length of the cached waveforms is ``_tone_cache_samples``.
+        self._tone_cache: OrderedDict[
+            tuple[float, float, float], np.ndarray
+        ] = OrderedDict()
+        self._tone_cache_samples = 0
         #: Optional fault model (repro.faults): consulted per emission
         #: and per rendered tone.  ``None`` keeps both render paths on
         #: their original arithmetic, bit for bit.
@@ -377,8 +392,8 @@ class AcousticChannel:
         return dropped
 
     def invalidate_render_cache(self) -> None:
-        """Drop memoized window renders (geometry and envelope caches
-        are pure and stay).  Scheduling operations call this
+        """Drop memoized window renders (the geometry, envelope and
+        tone waveform caches are pure and stay).  Scheduling operations call this
         automatically; benchmarks use it to time cold renders."""
         self._window_cache.clear()
 
@@ -465,8 +480,8 @@ class AcousticChannel:
         """Pressure signal arriving at ``listener`` during ``[start, end)``.
 
         Equivalent to :meth:`render_at_reference` (the scalar per-tone
-        loop) but served through the interval index, batched synthesis
-        and the window memo.  Repeated renders of the same
+        loop) but served through the interval index, the tone waveform
+        memo and the window memo.  Repeated renders of the same
         ``(listener, start, end)`` return the same (read-only) buffer.
         """
         if end < start:
@@ -500,17 +515,18 @@ class AcousticChannel:
         self, listener: Position, window_start: float, count: int
     ) -> np.ndarray:
         """A fresh ``count``-sample buffer holding every audible tone
-        (and echo) of the window, synthesized flat: all segments share
-        one ``np.sin`` and one ordered accumulation.
+        (and echo) of the window: one slice-add of a memoized whole-tone
+        waveform (:meth:`_tone_waveform`) per audible segment.
 
-        Matches :meth:`_mix_tone` bit for bit: each sample's phase /
-        amplitude / envelope arithmetic is the same IEEE operations in
-        the same order, and ``np.bincount`` adds the segments into its
-        zeroed output in schedule order (tone insertion, then tap), the
-        order the reference loop adds them into its zeroed buffer.
+        Matches :meth:`_mix_tone` bit for bit: each waveform sample is
+        the reference's IEEE operations in the reference's order, and
+        the segments are added into a zeroed buffer in schedule order
+        (tone insertion, then tap), the order the reference loop adds
+        them in.
         """
+        mix = np.zeros(count)
         if not self._index_entries:
-            return np.zeros(count)
+            return mix
         rate = self.sample_rate
         window_end = window_start + count / rate
         # Candidate horizon: a tone whose *emission* ended more than the
@@ -525,7 +541,7 @@ class AcousticChannel:
         if observed:
             self._m_bisected.inc(first)
         if first >= len(self._index_entries):
-            return np.zeros(count)
+            return mix
         starts = self._index_starts_array
         if starts is None:
             starts = self._index_starts_array = np.asarray(self._index_starts)
@@ -538,16 +554,11 @@ class AcousticChannel:
         fault = self._fault_model
         if fault is not None and not fault.adjusts_tone_levels:
             fault = None
-        # One entry per audible (tone, tap) segment:
-        # (sequence, tap_index, lo, offset, length, coeff, amplitude, envelope)
-        segments: list[
-            tuple[int, int, int, int, int, float, float, np.ndarray]
-        ] = []
-        # duration -> (tone length in samples, envelope); a room's tones
-        # share a handful of durations.
-        shapes: dict[float, tuple[int, np.ndarray]] = {}
-        for candidate in candidates.tolist():
-            sequence, tone = entries[first + candidate]
+        # Schedule order; sequence numbers are unique, so the sort never
+        # compares tones.
+        for _sequence, tone in sorted(
+            [entries[first + candidate] for candidate in candidates.tolist()]
+        ):
             if fault is not None:
                 fault_adjust = fault.tone_level_adjust_db(tone)
                 if fault_adjust is None:
@@ -559,14 +570,7 @@ class AcousticChannel:
             )
             spec = tone.spec
             duration = spec.duration
-            shape = shapes.get(duration)
-            if shape is None:
-                tone_len = int(round(duration * rate))
-                shape = shapes[duration] = (tone_len, raised_cosine_envelope(
-                    tone_len, rate, signalling_ramp(duration)
-                ))
-            tone_len, envelope = shape
-            for tap_index, (extra_delay, extra_loss) in enumerate(taps):
+            for extra_delay, extra_loss in taps:
                 arrival = tone.start_time + (delay + extra_delay)
                 departure = arrival + duration
                 if departure <= window_start or arrival >= window_end:
@@ -578,48 +582,50 @@ class AcousticChannel:
                 hi = min(hi, count)
                 if hi <= lo:
                     continue
-                offset = int(round((overlap_start - arrival) * rate))
-                length = min(offset + (hi - lo), tone_len) - offset
-                if length <= 0:
-                    continue
                 level = spec.level_db - loss_db - extra_loss
                 if fault_adjust:
                     level += fault_adjust
-                segments.append(
-                    (sequence, tap_index, lo, offset, length,
-                     TWO_PI * spec.frequency,
-                     db_to_amplitude(level) * SQRT2, envelope)
-                )
-        if not segments:
-            return np.zeros(count)
+                wave = self._tone_waveform(spec.frequency, duration, level)
+                offset = int(round((overlap_start - arrival) * rate))
+                length = min(offset + (hi - lo), len(wave)) - offset
+                if length > 0:
+                    mix[lo:lo + length] += wave[offset:offset + length]
+        return mix
 
-        # Schedule order; (sequence, tap) pairs are unique, so the sort
-        # never compares further fields.
-        segments.sort()
-        lengths = [segment[4] for segment in segments]
-        # Per segment: sample offset into its tone and window position,
-        # both shifted back by where the segment starts in the flat
-        # buffer, so adding the flat sample ramp yields each sample's
-        # step / position.  Integers this small are exact in float64,
-        # and numpy multiplies an integer step as its float64 value.
-        params = np.array([
-            (offset - flat, lo - flat, coeff, amplitude)
-            for (_seq, _tap, lo, offset, _len, coeff, amplitude, _env), flat
-            in zip(segments, accumulate(lengths, initial=0))
-        ])
-        per_sample = np.repeat(params.T, lengths, axis=1)
-        ramp = np.arange(per_sample.shape[1], dtype=np.float64)
-        steps, positions = per_sample[:2] + ramp
-        samples = per_sample[2] * steps
-        samples /= rate
-        np.sin(samples, out=samples)
-        samples *= per_sample[3]
-        samples *= np.concatenate([
-            envelope[offset:offset + length]
-            for _seq, _tap, _lo, offset, length, _coeff, _amp, envelope
-            in segments
-        ])
-        return np.bincount(positions.astype(np.intp), samples, count)
+    def _tone_waveform(
+        self, frequency: float, duration: float, level_db: float
+    ) -> np.ndarray:
+        """The whole received tone, memoized per ``(frequency, duration,
+        level_db)`` in a bounded LRU (:data:`TONE_CACHE_SAMPLES`).
+
+        Each sample is :meth:`_mix_tone`'s arithmetic for the same step
+        ``n``: ``TWO_PI * f * n / rate``, ``sin``, ``* amplitude``,
+        ``* envelope``.  A waveform depends on nothing else, so an
+        evicted entry is rebuilt bit-identically.
+        """
+        key = (frequency, duration, level_db)
+        cache = self._tone_cache
+        wave = cache.get(key)
+        if wave is not None:
+            cache.move_to_end(key)
+            return wave
+        rate = self.sample_rate
+        tone_len = int(round(duration * rate))
+        wave = TWO_PI * frequency * np.arange(tone_len)
+        wave /= rate
+        np.sin(wave, out=wave)
+        wave *= db_to_amplitude(level_db) * SQRT2
+        wave *= raised_cosine_envelope(
+            tone_len, rate, signalling_ramp(duration)
+        )
+        wave.setflags(write=False)
+        if tone_len <= TONE_CACHE_SAMPLES:
+            cache[key] = wave
+            self._tone_cache_samples += tone_len
+            while self._tone_cache_samples > TONE_CACHE_SAMPLES:
+                _key, evicted = cache.popitem(last=False)
+                self._tone_cache_samples -= len(evicted)
+        return wave
 
     # ------------------------------------------------------------------
     # Rendering — scalar reference path

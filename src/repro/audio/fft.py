@@ -54,6 +54,19 @@ def one_sided_scale(n_fft: int) -> np.ndarray:
     return scale
 
 
+@lru_cache(maxsize=None)
+def bin_frequencies(n_fft: int, sample_rate: float) -> np.ndarray:
+    """Cached ``rfftfreq`` bin centres for one FFT length and rate.
+
+    Every window of a listening stream shares them, and every
+    :class:`Spectrum` of that stream holds the same read-only array;
+    callers must not mutate it.
+    """
+    frequencies = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
+    frequencies.setflags(write=False)
+    return frequencies
+
+
 def median(values: np.ndarray) -> float:
     """``float(np.median(values))`` of a non-empty 1-D float array, bit
     for bit, without ``np.median``'s generic-axis machinery (most of its
@@ -226,7 +239,7 @@ class SpectrumAnalyzer:
             gain = 1.0
         n_fft = count * self.zero_pad_factor
         spectra = np.fft.rfft(frames, n=n_fft, axis=-1)
-        frequencies = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
+        frequencies = bin_frequencies(n_fft, sample_rate)
         # Calibrate so a sinusoid of RMS level r reports magnitude r at
         # its bin: |rfft| at the bin is (peak * count * gain / 2), and
         # peak = r * sqrt(2), hence the sqrt(2)/(count*gain) factor.

@@ -82,7 +82,9 @@ class MusicAgent:
                 self.dropped.increment()
                 return False
             start = self._busy_until
-        self.speaker.play(self.channel, start, spec)
+        # Validated above, before the busy check: schedule directly
+        # rather than through Speaker.play, which would check again.
+        self.channel.play_tone(start, spec, self.speaker.position)
         self._busy_until = start + spec.duration
         self.played.increment()
         return True

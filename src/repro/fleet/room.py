@@ -161,6 +161,10 @@ def run_room(spec: RoomSpec) -> RoomReport:
     )
     rig.controller.start()
     rig.sim.run(spec.horizon)
+    # Stopping the listen loop breaks the controller <-> timer cycle, so
+    # the room's channel (and its waveform memo) is freed on return
+    # instead of at the next cyclic collection.
+    rig.controller.stop()
 
     metrics = MetricsRegistry()
     metrics.counter("fleet.rooms").inc()

@@ -4,7 +4,8 @@
 this interpreter for ``backend="serial"``, in a pool worker for
 ``backend="process"`` (see :func:`repro.fleet.supervisor.run_fleet`).
 It simulates the shard's rooms in order through this module's
-``run_room`` and spills each finished room but the last to the
+``run_room`` and, whenever the attempt may be re-executed, spills each
+finished room but the last to the
 :class:`~repro.fleet.checkpoint.CheckpointStore`, so a re-execution
 resumes instead of recomputing.  It also honours the deterministic
 process fault model (:func:`~repro.faults.process.shard_fault_decision`)
@@ -112,7 +113,8 @@ class ShardJob:
     #: True only when this job runs in a disposable worker process —
     #: a hard (``os._exit``) crash fault in the calling interpreter
     #: would kill the whole run, so the serial backend
-    #: downgrades it to the exception-shaped crash.
+    #: downgrades it to the exception-shaped crash.  Such a job always
+    #: spills its finished rooms (see :func:`run_shard`).
     hard_crash_ok: bool = False
 
 
@@ -133,6 +135,12 @@ def run_shard(job: ShardJob) -> ShardReport | PoisonedShardReport:
     resumed = store.load_rooms(job.shard.shard_id)
     last = len(job.shard.rooms) - 1
     crash_after = decision.crash_after_rooms(last + 1)
+    # A spill insures a re-execution.  A worker process can die without
+    # unwinding at any moment, and a fault-fated attempt may crash, be
+    # poisoned or be redelivered, so those spill.  A clean attempt in
+    # this interpreter can only be cut short by a real error, which its
+    # retry would meet again at the same room, so it writes nothing.
+    spill = job.hard_crash_ok or not decision.clean
     rooms = []
     for index, room_spec in enumerate(job.shard.rooms):
         if crash_after is not None and index >= crash_after:
@@ -142,7 +150,7 @@ def run_shard(job: ShardJob) -> ShardReport | PoisonedShardReport:
             room = run_room(room_spec)
             # The last room goes home in the report a moment later, and
             # no crash fires after it: its spill would insure nothing.
-            if index < last:
+            if spill and index < last:
                 store.save_room(job.shard.shard_id, room)
         rooms.append(room)
     if decision.poison:

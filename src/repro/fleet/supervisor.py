@@ -28,10 +28,11 @@ survives every fault shape :mod:`repro.faults.process` injects:
   Every attempt in flight is refunded and its shard becomes a
   *suspect* that re-runs alone; a break is charged only to an attempt
   that was running alone, so innocent neighbours never burn budget;
-* **checkpoint resume** — workers spill every finished room but a
-  shard's last (:class:`~repro.fleet.checkpoint.CheckpointStore`), so a
-  retry of a shard that died 9 rooms into 10 simulates one room, not
-  ten;
+* **checkpoint resume** — workers, and serial attempts fated to
+  crash, be poisoned or be redelivered, spill every finished room but
+  a shard's last (:class:`~repro.fleet.checkpoint.CheckpointStore`),
+  so a retry of a shard that died 9 rooms into 10 simulates one room,
+  not ten;
 * **bounded retries** — a failed attempt re-enters the queue along
   :data:`RETRY_POLICY`, capped by ``max_attempts``;
 * **quarantine** — each shard owns a :class:`~repro.infra.CircuitBreaker`;
@@ -55,6 +56,7 @@ Recovery accounting goes to ``fleet.supervisor.*`` obs counters and to
 from __future__ import annotations
 
 import os
+import secrets
 import shutil
 import tempfile
 import time as _time
@@ -617,8 +619,11 @@ def run_fleet(
             ensure_picklable(shard, f"ShardSpec(shard_id={shard.shard_id})")
     else:
         workers = 1
-    checkpoint_dir = tempfile.mkdtemp(prefix="repro-fleet-ckpt-",
-                                      dir=SPILL_ROOT)
+    # A fresh, unguessable path that only the first spill creates.
+    checkpoint_dir = os.path.join(
+        SPILL_ROOT or tempfile.gettempdir(),
+        f"repro-fleet-ckpt-{secrets.token_hex(8)}",
+    )
     try:
         loop = _ShardLoop(
             shards, backend, workers, faults,

@@ -230,7 +230,11 @@ class PeriodicTimer:
             self._arm(self._origin + self.fire_count * self.interval)
 
     def stop(self) -> None:
-        """Cancel all future firings."""
+        """Cancel all future firings.  Drops the callback too: the
+        cancelled event stays in the heap until it surfaces, and must not
+        keep the callback's owner alive through it."""
         self._stopped = True
+        self._callback = None
+        self._args = ()
         if self._event is not None:
             self._event.cancel()

@@ -149,6 +149,89 @@ class TestBitIdentity:
         )
 
 
+class TestToneMemo:
+    """The per-channel whole-tone waveform memo: renders equal the
+    reference exactly however the memo is keyed, filled or evicted."""
+
+    def test_eviction_mid_sweep_keeps_renders_exact(self, monkeypatch):
+        from repro.audio import channel as channel_module
+
+        # Room for a few short tones: entries evict throughout the
+        # sweep, and tones longer than the bound are never cached.
+        monkeypatch.setattr(channel_module, "TONE_CACHE_SAMPLES", 2000)
+        channel = busy_channel(echo_taps=((0.003, 4.0),))
+        seen = set()
+        for start in np.arange(0.0, 2.2, 1 / 30):
+            fast = channel.render_at(LISTENER, start, start + 1 / 30)
+            reference = channel.render_at_reference(LISTENER, start,
+                                                    start + 1 / 30)
+            assert np.array_equal(fast.samples, reference.samples)
+            assert channel._tone_cache_samples <= 2000
+            seen.update(channel._tone_cache)
+        assert len(seen) > len(channel._tone_cache) > 0, "nothing evicted"
+        # Re-rendering after evictions rebuilds the same samples.
+        channel.invalidate_render_cache()
+        again = channel.render_at(LISTENER, 0.5, 0.5 + 1 / 30)
+        assert np.array_equal(
+            again.samples,
+            channel.render_at_reference(LISTENER, 0.5, 0.5 + 1 / 30).samples,
+        )
+
+    def test_one_tone_at_two_distances_and_faults_never_aliases(self):
+        """One (frequency, duration) heard at two listener distances,
+        through echo taps, under a level-degrading fault and a dropout:
+        each received level is its own waveform."""
+        from repro.faults import FaultHarness
+        from repro.net.sim import Simulator
+
+        spec = ToneSpec(1200.0, 0.3, 68.0)
+        near_emitter = Position(0.5, 0.0, 0.0)
+        far_emitter = Position(4.0, 0.0, 0.0)
+        dropped_emitter = Position(2.0, 1.0, 0.0)
+        channel = AcousticChannel(echo_taps=((0.004, 5.0), (0.009, 11.0)))
+        for start in (0.0, 0.1, 0.45):
+            channel.play_tone(start, spec, near_emitter)
+            channel.play_tone(start + 0.02, spec, far_emitter)
+            channel.play_tone(start + 0.05, spec, dropped_emitter)
+        faults = FaultHarness(Simulator(), seed=3).acoustic(channel)
+        faults.degrade_speaker(far_emitter, 0.0, 0.3, 6.5)
+        faults.drop_speaker(dropped_emitter, 0.0, 0.2)
+        listeners = (Position(0.0, 0.0, 0.0), Position(0.0, 3.0, 0.0))
+        for listener in listeners:
+            for start in np.arange(0.0, 0.9, 1 / 30):
+                fast = channel.render_at(listener, start, start + 1 / 30)
+                reference = channel.render_at_reference(listener, start,
+                                                        start + 1 / 30)
+                assert np.array_equal(fast.samples, reference.samples)
+        # Same frequency and duration, many received levels.
+        keys = list(channel._tone_cache)
+        assert {(f, d) for f, d, _level in keys} == {(1200.0, 0.3)}
+        assert len(keys) > 2 * len(listeners)
+
+    def test_memo_never_exceeds_its_bound(self):
+        from repro.audio.channel import TONE_CACHE_SAMPLES
+
+        channel = AcousticChannel()
+        # 400 distinct 0.4 s tones: 6400 samples each, 2.56M in all.
+        for index in range(400):
+            channel.play_tone(0.5 * index, ToneSpec(300.0 + index, 0.4, 66.0),
+                              Position(1.0, 0.0, 0.0))
+        for index in range(400):
+            channel.render_at(LISTENER, 0.5 * index, 0.5 * index + 0.1)
+            cached = sum(len(wave) for wave in channel._tone_cache.values())
+            assert cached == channel._tone_cache_samples
+            assert cached <= TONE_CACHE_SAMPLES
+        assert channel._tone_cache_samples > TONE_CACHE_SAMPLES - 6400
+
+    def test_fresh_channel_starts_empty(self):
+        warm = busy_channel()
+        warm.render_at(LISTENER, 0.0, 2.2)
+        assert warm._tone_cache
+        fresh = busy_channel()
+        assert not fresh._tone_cache
+        assert fresh._tone_cache_samples == 0
+
+
 class TestSeams:
     def test_consecutive_windows_concatenate_bit_identically(self):
         """Polling [0, 2) as twenty 100 ms windows must equal the one

@@ -42,6 +42,15 @@ class TestCalibration:
         # zero_pad_factor=2 halves the bin spacing (interpolation).
         assert spectrum.bin_width == pytest.approx(5.0)
 
+    def test_bin_frequencies_are_shared_and_read_only(self, analyzer):
+        first = analyzer.analyze(sine_tone(500, 0.1))
+        second = analyzer.analyze(sine_tone(700, 0.1))
+        assert first.frequencies is second.frequencies
+        assert not first.frequencies.flags.writeable
+        np.testing.assert_array_equal(
+            first.frequencies, np.fft.rfftfreq(3200, 1.0 / 16_000)
+        )
+
 
 class TestValidation:
     def test_unknown_window(self):

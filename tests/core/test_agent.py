@@ -43,6 +43,27 @@ class TestPlayback:
             music_agent.play(1000, 0.001, 70)  # below 30 ms minimum
         assert len(channel.scheduled_tones) == 0
 
+    def test_unplayable_tone_raises_before_the_busy_check(self, agent):
+        _sim, channel, music_agent = agent
+        assert music_agent.play(1000, 0.2, 70)
+        assert music_agent.is_busy
+        with pytest.raises(DeviceCapabilityError):
+            music_agent.play(1000, 0.001, 70)
+        assert music_agent.dropped.total == 0
+        assert len(channel.scheduled_tones) == 1
+
+    def test_each_tone_is_validated_once(self, agent, monkeypatch):
+        _sim, channel, music_agent = agent
+        checked = []
+        validate = music_agent.speaker.validate
+        monkeypatch.setattr(music_agent.speaker, "validate",
+                            lambda spec: checked.append(spec) or validate(spec))
+        assert music_agent.play(1000, 0.05, 70)
+        assert len(checked) == 1
+        tone = channel.scheduled_tones[0]
+        assert tone.spec == checked[0]
+        assert tone.position == music_agent.speaker.position
+
     def test_counters(self, agent):
         _sim, _channel, music_agent = agent
         music_agent.play(1000, 0.05, 70)

@@ -107,6 +107,18 @@ def test_poisoned_reports_are_rejected_never_merged(reference):
     assert report.supervisor.poisoned_reports == 4
 
 
+def test_attempt_after_a_poisoned_one_resumes_serial(reference):
+    # A poisoned attempt runs its rooms and spills them before handing
+    # back poison, so the next attempt resumes instead of recomputing.
+    plan = ProcessFaultPlan(poison_rate=1.0, max_faulty_attempts=0)
+    report = run_fleet_supervised(SPEC, num_shards=2, backend="serial",
+                                  faults=plan, policy=_policy())
+    assert not report.failures
+    assert report.identity_signature() == reference
+    assert report.supervisor.poisoned_reports == 2
+    assert report.supervisor.rooms_resumed >= 1
+
+
 def test_duplicate_deliveries_are_deduped_serial(reference):
     plan = ProcessFaultPlan(duplicate_rate=1.0, max_faulty_attempts=0)
     report = run_fleet_supervised(SPEC, num_shards=2, backend="serial",
